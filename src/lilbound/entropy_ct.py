@@ -502,6 +502,28 @@ class ChainedEnvelope:
         return nu_p(self.field, self.p, Z, theta_grid=self.theta_grid, alphas=self.alphas)
 
 
+def _nu_grid_envelope(
+    p: float, Z_grid: np.ndarray, g: np.ndarray, rescaled_any: bool, label: str
+) -> MomentEnvelope:
+    """Grid envelope g(L) = nu_p(L/p) at L = p * Z_grid; warns for the caller of its caller."""
+    if rescaled_any:
+        warnings.warn(
+            "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
+            stacklevel=3,
+        )
+    if np.any(np.isinf(g)):
+        bad = Z_grid[np.isinf(g)]
+        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
+    return MomentEnvelope(
+        L_grid=p * Z_grid,
+        g_values=g,
+        domain_low=p * float(Z_grid[0]),
+        kind="grid",
+        p=p,
+        label=label,
+    )
+
+
 def nu_envelope(
     field: IndexedField,
     p: float,
@@ -527,22 +549,7 @@ def nu_envelope(
                 thetas = np.asarray(DEFAULT_THETA_GRID) / sig
                 rescaled_any = True
         g[i] = nu_p(field, p, Z, theta_grid=thetas, alphas=alphas)
-    if rescaled_any:
-        warnings.warn(
-            "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
-            stacklevel=2,
-        )
-    if np.any(np.isinf(g)):
-        bad = Z_grid[np.isinf(g)]
-        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
-    return MomentEnvelope(
-        L_grid=p * Z_grid,
-        g_values=g,
-        domain_low=p * float(Z_grid[0]),
-        kind="grid",
-        p=p,
-        label=label or "chained",
-    )
+    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, label or "chained")
 
 
 def holder_example_envelope(
@@ -600,19 +607,4 @@ def holder_example_envelope(
             thetas = np.asarray(DEFAULT_THETA_GRID) / sig_hat
             rescaled_any = True
         g[i] = nu_p(sig_hat, p, Z, covering=cov, theta_grid=thetas)
-    if rescaled_any:
-        warnings.warn(
-            "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
-            stacklevel=2,
-        )
-    if np.any(np.isinf(g)):
-        bad = Z_grid[np.isinf(g)]
-        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
-    return MomentEnvelope(
-        L_grid=p * Z_grid,
-        g_values=g,
-        domain_low=p * float(Z_grid[0]),
-        kind="grid",
-        p=p,
-        label="holder-example",
-    )
+    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "holder-example")

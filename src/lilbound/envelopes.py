@@ -1,14 +1,17 @@
 """Moment envelopes g(L) for normed sums and the moment-to-tail conversion.
 
 An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) on a domain
-(domain_low, L0).  Tails follow by the Chebyshev-Markov step optimized over
-the moment order:
+(domain_low, L0).  Every field envelope comes from one core, g(L) = m(L)
+K_R(L) ||(E|xi(x)|^L)^(1/L)|| with m the Doob factor and K_R the Rosenthal
+constant, fed per-point log-moments and a norm over X: lp of order L, or
+mixed with exponents p_vec.  Tails follow by the Chebyshev-Markov step
+optimized over the moment order:
 
     h(z) = min(1, inf_L (g(L)/z)^L),
 
 computed by a grid scan over the envelope's evaluation grid followed by
-golden-section refinement in log L.  The same conversion serves the plain,
-mixed-norm and entropy-functional envelopes; only the construction of g
+golden-section refinement in log L.  The same conversion serves field,
+analytic and entropy-functional envelopes; only the construction of g
 differs.
 """
 
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .constants import doob_factor, rosenthal_upper
-from .grid_spaces import GridFunction, GridMeasureSpace, mixed_norm
+from .grid_spaces import GridFunction, _broadcast_weights, _mixed_norm_array
 
 __all__ = [
     "MomentEnvelope",
@@ -31,6 +34,7 @@ __all__ = [
     "mixed_envelope_from_field",
     "tail_from_envelope",
     "tail_argmin",
+    "grid_scan_tails",
     "TailClass",
     "classify_tail",
     "envelope_to_json",
@@ -147,6 +151,66 @@ class MomentEnvelope:
         return float(self.L_grid[-1])
 
 
+def _field_g(log_moment, axes, p_vec=None, *, sharp_doob=False, symmetric=False) -> Callable[[float], float]:
+    """g(L) = (Doob factor) * K_R(L) * || (E|xi(x)|^L)^(1/L) || from log-moments.
+
+    log_moment(L) is log E|xi(x)|^L as an array over the X axes, axis 0
+    innermost.  With p_vec None, X is one axis and the norm is its L-norm,
+    ( integral_X E|xi(x)|^L mu(dx) )^(1/L), taken in log space: |xi|^L
+    overflows directly for |xi| > 1 once L is large, the root never does.
+    Otherwise the norm is the p_vec mixed norm of the pointwise roots, each
+    bounded by max|xi|, so it never overflows either.
+    """
+    if p_vec is None:
+        (space,) = axes
+        log_w = np.log(space.weights)
+        single = log_w.size == 1
+
+        def root(L: float) -> float:
+            lm = log_moment(L)
+            # the log-sum-exp of a single term is that term, exactly
+            log_mass = lm[0] + log_w[0] if single else logsumexp(lm + log_w)
+            return math.exp(log_mass / L)
+
+    else:
+        weights = _broadcast_weights(axes)
+
+        def root(L: float) -> float:
+            return _mixed_norm_array(np.exp(log_moment(L) / L), weights, p_vec)
+
+    def g(L: float) -> float:
+        return _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * root(L)
+
+    return g
+
+
+def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, sharp_doob, symmetric, **kwargs) -> MomentEnvelope:
+    """Grid envelope from the exact moments of xi on X x Omega (Omega = last axis).
+
+    kwargs go to MomentEnvelope; their p_vec, if any, picks the mixed norm.
+    """
+    if p_low < 2.0:
+        raise ValueError("the bound machinery assumes a largest norm exponent >= 2")
+    L_grid = np.asarray(L_grid, dtype=float)
+    if np.any(L_grid < p_low):
+        raise ValueError("all envelope grid points must satisfy L >= the largest norm exponent")
+    omega = xi.axes[-1]
+    if not omega.is_probability:
+        raise ValueError("Omega factor must be a probability grid")
+    with np.errstate(divide="ignore"):
+        log_ow = np.log(omega.weights)
+        log_abs = np.log(np.abs(xi.values))
+    g = _field_g(
+        lambda L: logsumexp(L * log_abs + log_ow, axis=-1),
+        xi.axes[:-1],
+        kwargs.get("p_vec"),
+        sharp_doob=sharp_doob,
+        symmetric=symmetric,
+    )
+    g_values = np.array([g(L) for L in L_grid])
+    return MomentEnvelope(L_grid, g_values, domain_low=p_low, kind="grid", **kwargs)
+
+
 def envelope_from_field(
     xi: GridFunction,
     p: float,
@@ -164,32 +228,8 @@ def envelope_from_field(
     """
     if xi.n_factors != 2:
         raise ValueError("envelope_from_field expects a two-factor function on X x Omega")
-    if p < 2.0:
-        raise ValueError("the bound machinery assumes p >= 2")
-    L_grid = np.asarray(L_grid, dtype=float)
-    if np.any(L_grid < p):
-        raise ValueError("all envelope grid points must satisfy L >= p")
-    omega = xi.axes[1]
-    if not omega.is_probability:
-        raise ValueError("Omega factor must be a probability grid")
-    with np.errstate(divide="ignore"):
-        log_xw = np.log(xi.axes[0].weights)
-        log_ow = np.log(omega.weights)
-        log_abs = np.log(np.abs(xi.values))
-
-    def root_moment(L: float) -> float:
-        # ( integral_X E|xi|^L dmu )^(1/L) in log space: |xi|^L overflows
-        # directly for |xi| > 1 once L is large, the root never does
-        per_x = logsumexp(L * log_abs + log_ow[None, :], axis=1)
-        return float(np.exp(logsumexp(log_xw + per_x) / L))
-
-    g_values = np.array(
-        [
-            _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * root_moment(L)
-            for L in L_grid
-        ]
-    )
-    return MomentEnvelope(L_grid, g_values, domain_low=float(p), kind="grid", p=float(p), label=label)
+    p = float(p)
+    return _grid_field_envelope(xi, p, L_grid, sharp_doob, symmetric, p=p, label=label)
 
 
 def envelope_from_moments(
@@ -234,30 +274,8 @@ def mixed_envelope_from_field(
     p_vec = tuple(float(q) for q in p_vec)
     if xi.n_factors != len(p_vec) + 1:
         raise ValueError("field must have one more factor (Omega, last axis) than p_vec")
-    p_bar = max(p_vec)
-    if p_bar < 2.0:
-        raise ValueError("the bound machinery assumes max exponent >= 2")
-    L_grid = np.asarray(L_grid, dtype=float)
-    if np.any(L_grid < p_bar):
-        raise ValueError("all envelope grid points must satisfy L >= max exponent")
-    omega = xi.axes[-1]
-    if not omega.is_probability:
-        raise ValueError("Omega factor must be a probability grid")
-    x_axes = xi.axes[:-1]
-    with np.errstate(divide="ignore"):
-        log_ow = np.log(omega.weights)
-        log_abs = np.log(np.abs(xi.values))
-
-    def g_at(L: float) -> float:
-        # pointwise moment root (E|xi(x)|^L)^(1/L) in log space; bounded by
-        # max|xi| for every L, so the mixed norm below never overflows
-        psi = np.exp(logsumexp(L * log_abs + log_ow, axis=-1) / L)
-        norm = mixed_norm(GridFunction(x_axes, psi), p_vec)
-        return _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * norm
-
-    g_values = np.array([g_at(L) for L in L_grid])
-    return MomentEnvelope(
-        L_grid, g_values, domain_low=p_bar, kind="grid", p_vec=p_vec, label=label
+    return _grid_field_envelope(
+        xi, max(p_vec), L_grid, sharp_doob, symmetric, p_vec=p_vec, label=label
     )
 
 
@@ -341,6 +359,16 @@ def tail_argmin(env: MomentEnvelope, z: float) -> tuple[float, float]:
 
 def tail_from_envelope(env: MomentEnvelope, z: float) -> float:
     return tail_argmin(env, z)[0]
+
+
+def grid_scan_tails(env: MomentEnvelope, log_z: np.ndarray) -> np.ndarray:
+    """min(1, min over grid knots of (g(L)/z)^L) for each entry of an array of log z.
+
+    The grid scan alone, without refinement: never below tail_from_envelope's
+    value at the same z, so it still bounds the tail.
+    """
+    objective = (env.L_grid * env._log_g_grid)[None, :] - np.outer(log_z, env.L_grid)
+    return np.exp(np.minimum(objective.min(axis=1), 0.0))
 
 
 @dataclass(frozen=True)

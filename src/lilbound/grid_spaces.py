@@ -144,9 +144,19 @@ def mixed_norm(f: GridFunction, p) -> float:
         raise ValueError(
             f"exponent vector has {len(exps)} components, function has {f.n_factors} factors"
         )
-    out = np.abs(f.values)
-    for space, q in zip(f.axes, exps):
-        w = space.weights.reshape((-1,) + (1,) * (out.ndim - 1))
+    return _mixed_norm_array(np.abs(f.values), _broadcast_weights(f.axes), exps)
+
+
+def _broadcast_weights(axes) -> tuple:
+    """Axis weights shaped to broadcast along axis 0 at each step of _mixed_norm_array."""
+    n = len(axes)
+    return tuple(ax.weights.reshape((-1,) + (1,) * (n - 1 - k)) for k, ax in enumerate(axes))
+
+
+def _mixed_norm_array(values: np.ndarray, weights, exps) -> float:
+    """Iterated norm of nonnegative values, innermost (axis 0) first, unchecked."""
+    out = values
+    for w, q in zip(weights, exps):
         out = (w * out**q).sum(axis=0) ** (1.0 / q)
     return float(out)
 

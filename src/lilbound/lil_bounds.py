@@ -6,8 +6,8 @@ per-block tail conversions
     G(u) = sum_k h(u * v(A(k)) / w),
 
 where A(k) are the partition block starts, v the norming sequence and w the
-class-Y(w) parameter.  The same assembly serves the plain envelope (G), the
-mixed-norm envelope (F) and the entropy-functional envelope (Theta); they
+class-Y(w) parameter.  One assembly, upper_bound, serves the plain (G),
+mixed-norm (F) and entropy-functional (Theta) bounds of the paper; they
 differ only in how the envelope fed to the tail conversion was built.
 """
 
@@ -19,14 +19,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envelopes import MomentEnvelope, tail_from_envelope
+from .envelopes import MomentEnvelope, grid_scan_tails, tail_from_envelope
 from .partitions import E_E, NormingSequence, Partition, class_Y_check, geometric_partition
 
 __all__ = [
     "BoundEvaluation",
-    "upper_bound_G",
-    "upper_bound_F",
-    "upper_bound_Theta",
+    "upper_bound",
     "OptimizedBound",
     "optimize_bound",
     "lower_bound_Q",
@@ -109,7 +107,6 @@ def _sum_block_tails(
     # resolution, so the grid-only scan (never below the refined value)
     # suffices and vectorizes: batches keep full-horizon walks cheap.
     log_scale = math.log(u / w)
-    penalty = env.L_grid * env._log_g_grid
     k = _REFINED_TERMS
     while k < max_terms:
         batch = min(_BATCH_TERMS, max_terms - k)
@@ -124,9 +121,7 @@ def _sum_block_tails(
                 filled = j
                 exhausted = True
                 break
-        log_z = log_scale + np.log(vs[:filled])
-        objective = penalty[None, :] - np.outer(log_z, env.L_grid)
-        terms = np.exp(np.minimum(objective.min(axis=1), 0.0))
+        terms = grid_scan_tails(env, log_scale + np.log(vs[:filled]))
         running = total + np.cumsum(terms)
         for j in range(filled):
             term = terms[j]
@@ -147,26 +142,7 @@ def _sum_block_tails(
     return BoundEvaluation(1.0, vacuous=True, diverged=True, terms=max_terms)
 
 
-def _upper_bound(
-    env: MomentEnvelope,
-    partition: Partition,
-    norming: NormingSequence,
-    w: float,
-    u: float,
-    max_terms: int,
-    y_check_k: int,
-) -> BoundEvaluation:
-    if u < math.e:
-        raise ValueError("the bound is stated for u >= e")
-    verdict = class_Y_check(partition, w, K_check=y_check_k)
-    if verdict.status == "violated":
-        raise ValueError(
-            f"partition is not in class Y(w={w}); ratio drops below w^2 at k={verdict.violated_at}"
-        )
-    return _sum_block_tails(env, partition, norming, w, u, max_terms)
-
-
-def upper_bound_G(
+def upper_bound(
     env: MomentEnvelope,
     partition: Partition,
     norming: NormingSequence,
@@ -176,7 +152,7 @@ def upper_bound_G(
     max_terms: int = _DEFAULT_MAX_TERMS,
     y_check_k: int = 64,
 ) -> BoundEvaluation:
-    """Block-sum upper bound from a plain L_p envelope.
+    """Block-sum upper bound from any moment envelope (plain, mixed or entropy).
 
     Requires u >= e and the partition in class Y(w) (a proven violation
     raises; a finitely-checked inconclusive verdict for explicit or custom
@@ -185,35 +161,13 @@ def upper_bound_G(
     are decreasing; if that never happens within max_terms the bound is
     reported as diverged with value 1.0 (still a valid probability bound).
     """
-    return _upper_bound(env, partition, norming, w, u, max_terms, y_check_k)
-
-
-def upper_bound_F(
-    env: MomentEnvelope,
-    partition: Partition,
-    norming: NormingSequence,
-    w: float,
-    u: float,
-    *,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    y_check_k: int = 64,
-) -> BoundEvaluation:
-    """Same assembly fed by a mixed-norm envelope; coincides with G for one factor."""
-    return _upper_bound(env, partition, norming, w, u, max_terms, y_check_k)
-
-
-def upper_bound_Theta(
-    nu_env: MomentEnvelope,
-    partition: Partition,
-    norming: NormingSequence,
-    w: float,
-    u: float,
-    *,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    y_check_k: int = 64,
-) -> BoundEvaluation:
-    """Same assembly fed by an entropy-functional envelope g(L) = nu_p(L/p)."""
-    return _upper_bound(nu_env, partition, norming, w, u, max_terms, y_check_k)
+    u = _require_u(u)
+    verdict = class_Y_check(partition, w, K_check=y_check_k)
+    if verdict.status == "violated":
+        raise ValueError(
+            f"partition is not in class Y(w={w}); ratio drops below w^2 at k={verdict.violated_at}"
+        )
+    return _sum_block_tails(env, partition, norming, w, u, max_terms)
 
 
 @dataclass(frozen=True)
@@ -294,7 +248,7 @@ class TailBoundCurve:
 
     d_values/w_values/truncation_k/vacuous_flags are per-point when the curve
     was optimized per u (they may still be constant); provenance carries the
-    scalar metadata (assembly name, norming power, envelope label).
+    scalar metadata (optimized or not, norming power, envelope label).
     """
 
     u_grid: np.ndarray
@@ -330,7 +284,6 @@ def evaluate_bound_curve(
     w: Optional[float] = None,
     d_range=range(2, 17),
     max_terms: int = _DEFAULT_MAX_TERMS,
-    assembly: str = "G",
 ) -> TailBoundCurve:
     """Evaluate the bound on a u grid, optionally optimizing the partition per u."""
     u_grid = np.asarray(u_grid, dtype=float)
@@ -344,22 +297,15 @@ def evaluate_bound_curve(
         if w is None:
             w = max_admissible_w(d)
         partition = geometric_partition(d)
-        verdict = class_Y_check(partition, w)
-        if verdict.status == "violated":
-            raise ValueError(f"geometric partition d={d} is not in Y(w={w})")
     for i, u in enumerate(u_grid):
         if optimize:
             res = optimize_bound(env, norming, float(u), d_range, max_terms=max_terms)
-            values[i], ds[i], ws[i] = res.value, res.d, res.w
-            ks[i] = res.terms
-            flags[i] = res.vacuous or res.diverged
         else:
-            ev = _sum_block_tails(env, partition, norming, w, _require_u(float(u)), max_terms)
-            values[i], ds[i], ws[i] = ev.value, d, w
-            ks[i] = ev.terms
-            flags[i] = ev.vacuous or ev.diverged
+            ev = upper_bound(env, partition, norming, w, float(u), max_terms=max_terms)
+            res = OptimizedBound(ev.value, d, w, ev.vacuous, ev.diverged, ev.terms)
+        values[i], ds[i], ws[i], ks[i] = res.value, res.d, res.w, res.terms
+        flags[i] = res.vacuous or res.diverged
     prov = {
-        "assembly": assembly,
         "optimized": optimize,
         "norming_r": norming.r,
         "envelope": env.label or env.kind,

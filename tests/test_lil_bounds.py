@@ -16,9 +16,7 @@ from lilbound import (
     lower_bound_Q,
     max_admissible_w,
     optimize_bound,
-    upper_bound_F,
-    upper_bound_G,
-    upper_bound_Theta,
+    upper_bound,
 )
 from lilbound.lil_bounds import TailBoundCurve
 
@@ -46,7 +44,7 @@ def test_linear_envelope_bound_matches_direct_series():
     w = max_admissible_w(2)
     v = _norming(1.0)
     u = 40.0
-    result = upper_bound_G(_linear_envelope(), part, v, w, u)
+    result = upper_bound(_linear_envelope(), part, v, w, u)
     direct = sum(
         math.exp(-u * v(2**k - 1) / (w * math.e)) for k in range(1, result.terms + 1)
     )
@@ -60,34 +58,34 @@ def test_constant_envelope_certifies_bounded_variable():
     env = _constant_envelope(math.e)
     part = geometric_partition(2)
     w = max_admissible_w(2)
-    assert upper_bound_G(env, part, _norming(1.0), w, 40.0).value == 0.0
-    near = upper_bound_G(env, part, _norming(1.0), w, math.e)
+    assert upper_bound(env, part, _norming(1.0), w, 40.0).value == 0.0
+    near = upper_bound(env, part, _norming(1.0), w, math.e)
     assert near.vacuous and near.value == 1.0
 
 
 def test_bound_requires_u_at_least_e():
     env = _constant_envelope()
     with pytest.raises(ValueError):
-        upper_bound_G(env, geometric_partition(2), _norming(), max_admissible_w(2), 2.0)
+        upper_bound(env, geometric_partition(2), _norming(), max_admissible_w(2), 2.0)
 
 
 def test_bound_rejects_partition_outside_class():
     env = _constant_envelope()
     with pytest.raises(ValueError):
-        upper_bound_G(env, geometric_partition(2), _norming(), math.sqrt(2.0) + 0.01, 10.0)
+        upper_bound(env, geometric_partition(2), _norming(), math.sqrt(2.0) + 0.01, 10.0)
 
 
 def test_exact_sqrt_w_is_rejected_by_float_rounding():
     # sqrt(2)^2 = 2.0000000000000004 > 2 in floats, hence the epsilon backoff.
     env = _constant_envelope()
     with pytest.raises(ValueError):
-        upper_bound_G(env, geometric_partition(2), _norming(), math.sqrt(2.0), 10.0)
+        upper_bound(env, geometric_partition(2), _norming(), math.sqrt(2.0), 10.0)
 
 
 def test_vacuous_bound_reports_one():
     # A huge envelope makes every term 1, so the sum is clamped at 1 vacuously.
     env = _constant_envelope(1e6)
-    result = upper_bound_G(env, geometric_partition(2), _norming(), max_admissible_w(2), math.e)
+    result = upper_bound(env, geometric_partition(2), _norming(), max_admissible_w(2), math.e)
     assert result.value == 1.0
     assert result.vacuous
 
@@ -97,7 +95,7 @@ def test_bound_decreases_in_u():
     part = geometric_partition(2)
     w = max_admissible_w(2)
     values = [
-        upper_bound_G(env, part, _norming(1.0), w, u).value
+        upper_bound(env, part, _norming(1.0), w, u).value
         for u in (math.e, 20.0, 40.0, 80.0)
     ]
     assert values[0] == 1.0  # vacuous at the left edge
@@ -106,28 +104,18 @@ def test_bound_decreases_in_u():
     assert 0.0 < informative[-1] < informative[0] < 1.0
 
 
-def test_assemblies_share_the_block_sum():
-    env = _constant_envelope(math.e)
-    part = geometric_partition(3)
-    w = max_admissible_w(3)
-    g = upper_bound_G(env, part, _norming(1.0), w, 12.0)
-    f = upper_bound_F(env, part, _norming(1.0), w, 12.0)
-    t = upper_bound_Theta(env, part, _norming(1.0), w, 12.0)
-    assert g.value == f.value == t.value
-
-
 def test_explicit_partition_exhaustion_is_reported():
     # Three known blocks truncate nothing at u = 40, so the walk needs A(4).
     part = explicit_partition([1, 3, 9])
     with pytest.raises(ValueError, match="exhausted"):
-        upper_bound_G(_linear_envelope(), part, _norming(1.0), 1.4, 40.0)
+        upper_bound(_linear_envelope(), part, _norming(1.0), 1.4, 40.0)
 
 
 def test_deep_blocks_use_stable_norming():
     # At u = 20 the series truncates only after thousands of blocks, far past
     # the depth where A(k) = 2^k - 1 overflows a float; the log-domain
     # norming must keep those terms finite and decreasing.
-    result = upper_bound_G(
+    result = upper_bound(
         _linear_envelope(), geometric_partition(2), _norming(1.0), max_admissible_w(2), 20.0
     )
     assert result.terms > 1500
@@ -143,7 +131,7 @@ def test_optimize_bound_never_worse_than_fixed_d():
     for u in (math.e, 6.0, 15.0):
         best = optimize_bound(env, v, u)
         for d in (2, 5, 16):
-            fixed = upper_bound_G(env, geometric_partition(d), v, max_admissible_w(d), u)
+            fixed = upper_bound(env, geometric_partition(d), v, max_admissible_w(d), u)
             assert best.value <= fixed.value + 1e-15
         assert 2 <= best.d <= 16
 
@@ -176,7 +164,7 @@ def test_curve_fixed_partition_matches_single_calls():
     curve = evaluate_bound_curve(env, _norming(1.0), u, optimize=False, d=3)
     w = max_admissible_w(3)
     for ui, vi in zip(u, curve.values):
-        single = upper_bound_G(env, geometric_partition(3), _norming(1.0), w, float(ui))
+        single = upper_bound(env, geometric_partition(3), _norming(1.0), w, float(ui))
         assert vi == single.value
 
 

@@ -213,6 +213,51 @@ def test_envelope_for_weibull_spec_uses_gamma_moments():
     )
 
 
+def _gaussian_log_moment(sigma: float, L: float) -> float:
+    # E|xi|^L = sigma^L 2^(L/2) Gamma((L+1)/2) / sqrt(pi) for xi ~ N(0, sigma^2)
+    return (
+        L * math.log(sigma) + 0.5 * L * math.log(2.0)
+        + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+    )
+
+
+def test_multi_point_envelopes_match_hand_written_sums():
+    # Per-point sigma in flat order, first factor fastest: sigma[i1 + 2 * i2].
+    w1, w2 = [0.3, 0.7], [0.5, 1.5, 0.25]
+    sigma = [0.5, 1.0, 1.5, 2.0, 0.7, 1.2]
+    mixed = FieldSpec(
+        family="gaussian",
+        spaces=(GridMeasureSpace(np.array(w1)), GridMeasureSpace(np.array(w2))),
+        norm_kind="mixed",
+        p=(2.0, 3.0),
+        sigma=np.array(sigma),
+    )
+    env = envelope_for_field_spec(mixed)
+    for L in env.L_grid[::8]:
+        L = float(L)
+        outer = 0.0
+        for i2 in range(3):
+            inner = 0.0
+            for i1 in range(2):
+                root = math.exp(_gaussian_log_moment(sigma[i1 + 2 * i2], L) / L)
+                inner += w1[i1] * root**2.0
+            outer += w2[i2] * inner ** (3.0 / 2.0)
+        expected = 2.0 * rosenthal_upper(L) * outer ** (1.0 / 3.0)
+        assert env.g(L) == pytest.approx(expected, rel=1e-12)
+
+    # lp of order L over three points, summed in log space against overflow.
+    w, sig3 = [0.2, 0.5, 0.3], [0.5, 1.0, 2.0]
+    lp = FieldSpec(family="gaussian", spaces=(GridMeasureSpace(np.array(w)),), p=2.0, sigma=np.array(sig3))
+    env = envelope_for_field_spec(lp)
+    for L in env.L_grid[::8]:
+        L = float(L)
+        logs = [math.log(wx) + _gaussian_log_moment(sx, L) for wx, sx in zip(w, sig3)]
+        top = max(logs)
+        log_mass = top + math.log(sum(math.exp(x - top) for x in logs))
+        expected = 2.0 * rosenthal_upper(L) * math.exp(log_mass / L)
+        assert env.g(L) == pytest.approx(expected, rel=1e-12)
+
+
 def test_envelope_rejects_cl_norm_spec():
     spec = FieldSpec(
         family="rademacher",
