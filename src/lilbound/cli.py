@@ -33,7 +33,7 @@ from .grid_spaces import grid_function_from_json, mixed_norm
 from .lil_bounds import TailBoundCurve, evaluate_bound_curve
 from .partitions import NormingSequence
 from .entropy_ct import covering_from_json, nu_p_detail
-from .simulate import EmpiricalCurve, FieldSpec, dominance_report, empirical_Q, simulate
+from .simulate import EmpiricalCurve, FieldSpec, dominance_report, empirical_Q, simulate_many
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -86,14 +86,14 @@ def _read_csv(path: str) -> dict:
 
 
 def _parse_grid(text: str, *, log: bool) -> np.ndarray:
-    """Parse 'a:b:n' into n points from a to b; 'e' is accepted as a bound."""
+    """Parse 'a:b:n' into n points from a to b; 'e' is accepted as a bound, nan and inf are not."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must look like a:b:n, got {text!r}")
     lo = math.e if parts[0].strip() == "e" else float(parts[0])
     hi = math.e if parts[1].strip() == "e" else float(parts[1])
     n = int(parts[2])
-    if n < 1 or hi < lo or (log and lo <= 0.0):
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo or (log and lo <= 0.0):
         raise ValueError(f"bad grid spec {text!r}")
     if n == 1:
         return np.array([lo])
@@ -184,7 +184,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = FieldSpec.from_json(_load_json(args.spec))
-    ens = simulate(spec, args.n_max, args.trials, args.seed, r=args.r)
+    (ens,) = simulate_many(spec, args.n_max, args.trials, args.seed, rs=(args.r,))
     u_grid = _parse_grid(args.u_grid, log=True)
     curve = empirical_Q(ens, u_grid)
     rows = zip(curve.u_grid, curve.q_hat, curve.cp_upper_99, [curve.trials] * curve.u_grid.size)

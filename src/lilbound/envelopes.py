@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -27,11 +27,15 @@ from scipy.special import logsumexp
 from .constants import doob_factor, rosenthal_upper
 from .grid_spaces import GridFunction, _broadcast_weights, _mixed_norm_array
 
+if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annotations only
+    from .simulate import FieldSpec
+
 __all__ = [
     "MomentEnvelope",
     "envelope_from_field",
     "envelope_from_moments",
     "mixed_envelope_from_field",
+    "envelope_for_field_spec",
     "tail_from_envelope",
     "tail_argmin",
     "grid_scan_tails",
@@ -182,6 +186,66 @@ def _field_g(log_moment, axes, p_vec=None, *, sharp_doob=False, symmetric=False)
         return _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * root(L)
 
     return g
+
+
+def _log_abs_moment(spec: FieldSpec, L: float) -> np.ndarray:
+    """log E|xi(x)|^L per grid point, in flat order (first factor fastest)."""
+    nx = spec.x_size
+    if spec.family == "rademacher":
+        out = np.zeros(nx)
+    elif spec.family == "uniform":
+        if spec.a == 0.0:
+            return np.full(nx, -math.inf)
+        out = np.full(nx, L * math.log(spec.a) - math.log(L + 1.0))
+    elif spec.family == "gaussian":
+        sig = np.atleast_1d(np.asarray(spec.sigma, dtype=float))
+        with np.errstate(divide="ignore"):
+            out = L * np.log(sig)
+        out += 0.5 * L * math.log(2.0) + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+    else:
+        out = np.full(nx, math.lgamma(L / spec.beta + 1.0))
+    if spec.dependence == "martingale":
+        out = out + L * math.log1p(spec.kappa)
+    return out
+
+
+def envelope_for_field_spec(
+    spec: FieldSpec,
+    L_grid=None,
+    *,
+    sharp_doob: bool = False,
+    label: str = "",
+) -> MomentEnvelope:
+    """Moment envelope g(L) for a field spec, matching its norm.
+
+    lp: g(L) = (Doob factor) * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
+    mixed: the integral is replaced by the mixed norm of x -> (E|xi(x)|^L)^(1/L).
+    Both feed the closed-form moments to the field core, _field_g.  The
+    martingale mode only inflates moments by its amplitude cap (1 + kappa);
+    the Rosenthal constant used is the independent-summand one, so treat
+    martingale envelopes as exploratory.  cl norms need the chaining
+    machinery instead and are rejected here.
+    """
+    if spec.norm_kind == "cl":
+        raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
+    lp = spec.norm_kind == "lp"
+    p_low = spec.p if lp else max(spec.p)
+    if p_low < 2.0:
+        raise ValueError("envelopes need every norm exponent >= 2")
+    shape = tuple(sp.size for sp in spec.spaces)
+    g_fn = _field_g(
+        lambda L: _log_abs_moment(spec, L).reshape(shape, order="F"),
+        spec.spaces,
+        None if lp else spec.p,
+        sharp_doob=sharp_doob,
+    )
+    return MomentEnvelope.from_callable(
+        g_fn,
+        domain_low=p_low,
+        L_grid=L_grid,
+        label=label or f"{spec.family}-{spec.norm_kind}",
+        **({"p": spec.p} if lp else {"p_vec": spec.p}),
+    )
 
 
 def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, sharp_doob, symmetric, **kwargs) -> MomentEnvelope:

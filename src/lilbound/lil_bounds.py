@@ -86,59 +86,41 @@ def _sum_block_tails(
 ) -> BoundEvaluation:
     total = 0.0
     prev = math.inf
-    for k in range(1, min(_REFINED_TERMS, max_terms) + 1):
-        try:
-            v_k = _block_norming_value(partition, norming, k)
-        except ValueError as exc:
-            raise ValueError(
-                f"partition exhausted at block {k} before the series truncated"
-            ) from exc
-        term = tail_from_envelope(env, u * v_k / w)
-        total += term
-        if total >= 1.0:
-            return BoundEvaluation(1.0, vacuous=True, terms=k)
-        if term == 0.0:
-            # the h argument grows with k and h is non-increasing, so the tail is zero
-            return BoundEvaluation(total, terms=k)
-        if k >= 2 and term <= prev and term < _TRUNCATION_REL * total:
-            return BoundEvaluation(total, terms=k)
-        prev = term
-    # Deeper terms carry relative mass far below the truncation threshold's
-    # resolution, so the grid-only scan (never below the refined value)
-    # suffices and vectorizes: batches keep full-horizon walks cheap.
     log_scale = math.log(u / w)
-    k = _REFINED_TERMS
+    k = 0
     while k < max_terms:
-        batch = min(_BATCH_TERMS, max_terms - k)
-        vs = np.empty(batch)
-        filled = batch
-        exhausted = False
-        for j in range(batch):
-            try:
-                vs[j] = _block_norming_value(partition, norming, k + j + 1)
-            except ValueError:
-                # only fatal if the walk actually needs this block (below)
-                filled = j
-                exhausted = True
-                break
-        terms = grid_scan_tails(env, log_scale + np.log(vs[:filled]))
+        # one refined block at a time, then batched grid-only scans, which
+        # keep full-horizon walks cheap
+        refined = k < _REFINED_TERMS
+        batch = 1 if refined else min(_BATCH_TERMS, max_terms - k)
+        vs = []
+        exhausted = None
+        try:
+            for j in range(k + 1, k + batch + 1):
+                vs.append(_block_norming_value(partition, norming, j))
+        except ValueError as exc:
+            # only fatal if the walk actually needs this block (below)
+            exhausted = exc
+        if refined:
+            terms = np.array([tail_from_envelope(env, u * v / w) for v in vs])
+        else:
+            terms = grid_scan_tails(env, log_scale + np.log(vs))
         running = total + np.cumsum(terms)
-        for j in range(filled):
-            term = terms[j]
+        for j, term in enumerate(terms):
             if running[j] >= 1.0:
                 return BoundEvaluation(1.0, vacuous=True, terms=k + j + 1)
             if term == 0.0:
-                return BoundEvaluation(running[j], terms=k + j + 1)
+                # the h argument grows with k and h is non-increasing, so the tail is zero
+                return BoundEvaluation(float(running[j]), terms=k + j + 1)
             if term <= prev and term < _TRUNCATION_REL * running[j]:
-                return BoundEvaluation(running[j], terms=k + j + 1)
+                return BoundEvaluation(float(running[j]), terms=k + j + 1)
             prev = term
-        if filled:
-            total = running[filled - 1]
-        k += filled
-        if exhausted:
+        k += len(vs)
+        if exhausted is not None:
             raise ValueError(
                 f"partition exhausted at block {k + 1} before the series truncated"
-            )
+            ) from exhausted
+        total = running[-1]
     return BoundEvaluation(1.0, vacuous=True, diverged=True, terms=max_terms)
 
 
@@ -264,11 +246,13 @@ class TailBoundCurve:
         vals = np.asarray(self.values, dtype=float)
         if u.ndim != 1 or vals.shape != u.shape:
             raise ValueError("u_grid and values must be matching 1-d arrays")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u grid must be finite")
         if np.any(np.diff(u) <= 0.0):
             raise ValueError("u grid must be strictly increasing")
         if u[0] < math.e - 1e-12:
             raise ValueError("u grid must start at or above e")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails both
             raise ValueError("bound values must lie in [0, 1]")
         self.u_grid = u
         self.values = vals

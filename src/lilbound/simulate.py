@@ -24,7 +24,6 @@ from scipy.stats import beta as _beta_dist
 
 # perfbench's traced pass wraps rosenthal_upper and mixed_norm by their names in this module
 from .constants import rosenthal_upper  # noqa: F401
-from .envelopes import MomentEnvelope, _field_g
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
 from .lil_bounds import TailBoundCurve
 from .partitions import NormingSequence
@@ -34,12 +33,10 @@ __all__ = [
     "TrajectoryEnsemble",
     "EmpiricalCurve",
     "DominanceReport",
-    "simulate",
     "simulate_many",
     "empirical_Q",
     "clopper_pearson_upper",
     "dominance_report",
-    "envelope_for_field_spec",
     "horizon_growth",
     "resolve_threads",
 ]
@@ -129,13 +126,6 @@ class FieldSpec:
     @property
     def draw_dim(self) -> int:
         return self.x_size * self.t_size
-
-    def flat_weights(self) -> np.ndarray:
-        """Product weights in flat order with the first factor innermost."""
-        w = self.spaces[0].weights
-        for sp in self.spaces[1:]:
-            w = np.multiply.outer(sp.weights, w).ravel()
-        return w
 
     def to_json(self) -> dict:
         data = {
@@ -319,12 +309,14 @@ def simulate_many(
     rs,
     threads: Optional[int] = None,
 ) -> tuple[TrajectoryEnsemble, ...]:
-    """One ensemble per norming power in rs, sharing a single trajectory pass.
+    """Per-trial sup of ||S(n)||/(sqrt(n) v_r(n)) over n <= n_max, one ensemble per r in rs.
 
     The trajectories depend only on (seed, trial), not on r, so evaluating
     several norming powers costs one divide-and-max each instead of a full
-    re-simulation.  Every returned ensemble is identical to a separate
-    simulate() call with that r.
+    re-simulation: every returned ensemble is identical to a call with that r
+    alone.  Trials run in deterministic chunks over a thread pool; each
+    trial's substream is keyed by (seed, trial), so the output is independent
+    of the worker count.
     """
     if n_max < 1 or trials < 1:
         raise ValueError("n_max and trials must be >= 1")
@@ -351,24 +343,6 @@ def simulate_many(
     return tuple(
         TrajectoryEnsemble(spec, n_max, trials, seed, r, sups[i]) for i, r in enumerate(rs)
     )
-
-
-def simulate(
-    spec: FieldSpec,
-    n_max: int,
-    trials: int,
-    seed: int,
-    *,
-    r: float = 0.5,
-    threads: Optional[int] = None,
-) -> TrajectoryEnsemble:
-    """Per-trial sup of ||S(n)||/(sqrt(n) v_r(n)) over n <= n_max.
-
-    Trials run in deterministic chunks over a thread pool; each trial's
-    substream is keyed by (seed, trial), so the output is independent of the
-    worker count.
-    """
-    return simulate_many(spec, n_max, trials, seed, rs=(r,), threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -438,66 +412,6 @@ def dominance_report(curve: EmpiricalCurve, bound: TailBoundCurve) -> DominanceR
     return DominanceReport(curve.u_grid, curve.cp_upper_99, bound.values, ok)
 
 
-def _log_abs_moment(spec: FieldSpec, L: float) -> np.ndarray:
-    """log E|xi(x)|^L per grid point, in flat order (first factor fastest)."""
-    nx = spec.x_size
-    if spec.family == "rademacher":
-        out = np.zeros(nx)
-    elif spec.family == "uniform":
-        if spec.a == 0.0:
-            return np.full(nx, -math.inf)
-        out = np.full(nx, L * math.log(spec.a) - math.log(L + 1.0))
-    elif spec.family == "gaussian":
-        sig = np.atleast_1d(np.asarray(spec.sigma, dtype=float))
-        with np.errstate(divide="ignore"):
-            out = L * np.log(sig)
-        out += 0.5 * L * math.log(2.0) + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
-    else:
-        out = np.full(nx, math.lgamma(L / spec.beta + 1.0))
-    if spec.dependence == "martingale":
-        out = out + L * math.log1p(spec.kappa)
-    return out
-
-
-def envelope_for_field_spec(
-    spec: FieldSpec,
-    L_grid=None,
-    *,
-    sharp_doob: bool = False,
-    label: str = "",
-) -> MomentEnvelope:
-    """Moment envelope g(L) for a field spec, matching its norm.
-
-    lp: g(L) = (Doob factor) * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
-    mixed: the integral is replaced by the mixed norm of x -> (E|xi(x)|^L)^(1/L).
-    Both feed the closed-form moments to the envelopes module's field core.  The
-    martingale mode only inflates moments by its amplitude cap (1 + kappa);
-    the Rosenthal constant used is the independent-summand one, so treat
-    martingale envelopes as exploratory.  cl norms need the chaining
-    machinery instead and are rejected here.
-    """
-    if spec.norm_kind == "cl":
-        raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
-    lp = spec.norm_kind == "lp"
-    p_low = spec.p if lp else max(spec.p)
-    if p_low < 2.0:
-        raise ValueError("envelopes need every norm exponent >= 2")
-    shape = tuple(sp.size for sp in spec.spaces)
-    g_fn = _field_g(
-        lambda L: _log_abs_moment(spec, L).reshape(shape, order="F"),
-        spec.spaces,
-        None if lp else spec.p,
-        sharp_doob=sharp_doob,
-    )
-    return MomentEnvelope.from_callable(
-        g_fn,
-        domain_low=p_low,
-        L_grid=L_grid,
-        label=label or f"{spec.family}-{spec.norm_kind}",
-        **({"p": spec.p} if lp else {"p_vec": spec.p}),
-    )
-
-
 def horizon_growth(
     spec: FieldSpec, n_max: int, trials: int, seed: int, *, r: float = 0.5, threads: Optional[int] = None
 ) -> dict:
@@ -506,8 +420,8 @@ def horizon_growth(
     The infinite-horizon sup is out of any finite experiment's reach; a large
     growth fraction signals that n_max materially undercounts it.
     """
-    short = simulate(spec, n_max, trials, seed, r=r, threads=threads)
-    long = simulate(spec, 2 * n_max, trials, seed, r=r, threads=threads)
+    (short,) = simulate_many(spec, n_max, trials, seed, rs=(r,), threads=threads)
+    (long,) = simulate_many(spec, 2 * n_max, trials, seed, rs=(r,), threads=threads)
     grew = long.sup_values > short.sup_values
     rel = np.zeros(trials)
     nonzero = short.sup_values > 0.0

@@ -236,6 +236,17 @@ def test_bad_grid_spec_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["nan:12:3", "2:inf:3", "e:nan:3"])
+def test_non_finite_grid_bounds_are_an_error(tmp_path, capsys, grid):
+    spec = FieldSpec(family="rademacher", spaces=(GridMeasureSpace(np.array([1.0])),))
+    spec_path = _write_json(tmp_path / "spec.json", spec.to_json())
+    out_path = tmp_path / "sim.csv"
+    args = ["simulate", "--spec", spec_path, "--n-max", "8", "--trials", "10"]
+    assert run(args + ["--u-grid", grid, "--out", str(out_path)]) == 1
+    assert "bad grid spec" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_config_echo_lists_inputs(tmp_path, capsys):
     spec = FieldSpec(family="rademacher", spaces=(GridMeasureSpace(np.array([1.0])),))
     spec_path = _write_json(tmp_path / "spec.json", spec.to_json())

@@ -111,6 +111,30 @@ def test_explicit_partition_exhaustion_is_reported():
         upper_bound(_linear_envelope(), part, _norming(1.0), 1.4, 40.0)
 
 
+def _forty_block_partition():
+    # the first 40 blocks of the d = 2 geometric partition, A(k) = 2^k - 1
+    return explicit_partition([2**k - 1 for k in range(1, 41)])
+
+
+def test_exhaustion_past_the_refined_prefix_names_the_missing_block():
+    # At u = 40 the series needs more than 40 blocks, so the walk runs out
+    # inside a batched grid scan, past the refined leading terms.
+    part = _forty_block_partition()
+    with pytest.raises(ValueError, match="exhausted at block 41 "):
+        upper_bound(_linear_envelope(), part, _norming(1.0), max_admissible_w(2), 40.0)
+
+
+@pytest.mark.parametrize("u,terms", [(80.0, 23), (64.0, 35)])
+def test_truncation_inside_a_finite_prefix_matches_geometric(u, terms):
+    # One stop inside the refined leading terms, one inside the batched scans;
+    # the known blocks coincide with d = 2, so the results must too.
+    w = max_admissible_w(2)
+    result = upper_bound(_linear_envelope(), _forty_block_partition(), _norming(1.0), w, u)
+    assert result.terms == terms
+    assert 0.0 < result.value < 1.0
+    assert result == upper_bound(_linear_envelope(), geometric_partition(2), _norming(1.0), w, u)
+
+
 def test_deep_blocks_use_stable_norming():
     # At u = 20 the series truncates only after thousands of blocks, far past
     # the depth where A(k) = 2^k - 1 overflows a float; the log-domain
@@ -175,6 +199,20 @@ def test_curve_validation():
         TailBoundCurve(np.array([3.0, 3.0]), np.array([0.5, 0.4]))  # not increasing
     with pytest.raises(ValueError):
         TailBoundCurve(np.array([3.0, 4.0]), np.array([0.5, 1.4]))  # above 1
+
+
+@pytest.mark.parametrize(
+    "u,values",
+    [
+        ([3.0, 4.0], [0.5, math.nan]),
+        ([math.nan, 4.0], [0.5, 0.4]),
+        ([3.0, math.nan], [0.5, 0.4]),
+        ([3.0, math.inf], [0.5, 0.4]),
+    ],
+)
+def test_curve_rejects_non_finite_entries(u, values):
+    with pytest.raises(ValueError):
+        TailBoundCurve(np.array(u), np.array(values))
 
 
 def test_lower_bound_uses_summand_tail():

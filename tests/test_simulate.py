@@ -19,7 +19,6 @@ from lilbound import (
     horizon_growth,
     resolve_threads,
     rosenthal_upper,
-    simulate,
     simulate_many,
 )
 from lilbound.lil_bounds import TailBoundCurve
@@ -33,18 +32,18 @@ def _scalar_spec(family="rademacher", **kwargs) -> FieldSpec:
 
 def test_same_seed_reproduces_the_ensemble():
     spec = _scalar_spec()
-    a = simulate(spec, n_max=64, trials=40, seed=7, r=1.0)
-    b = simulate(spec, n_max=64, trials=40, seed=7, r=1.0)
+    a = simulate_many(spec, n_max=64, trials=40, seed=7, rs=(1.0,))[0]
+    b = simulate_many(spec, n_max=64, trials=40, seed=7, rs=(1.0,))[0]
     assert np.array_equal(a.sup_values, b.sup_values)
-    c = simulate(spec, n_max=64, trials=40, seed=8, r=1.0)
+    c = simulate_many(spec, n_max=64, trials=40, seed=8, rs=(1.0,))[0]
     assert not np.array_equal(a.sup_values, c.sup_values)
 
 
 def test_thread_count_does_not_change_results():
     spec = _scalar_spec("uniform", a=0.8)
-    base = simulate(spec, n_max=128, trials=130, seed=11, r=0.5, threads=1)
+    base = simulate_many(spec, n_max=128, trials=130, seed=11, rs=(0.5,), threads=1)[0]
     for threads in (2, 3, 8):
-        other = simulate(spec, n_max=128, trials=130, seed=11, r=0.5, threads=threads)
+        other = simulate_many(spec, n_max=128, trials=130, seed=11, rs=(0.5,), threads=threads)[0]
         assert np.array_equal(base.sup_values, other.sup_values)
 
 
@@ -52,7 +51,7 @@ def test_simulate_many_matches_separate_runs():
     spec = _scalar_spec("gaussian", sigma=0.5)
     both = simulate_many(spec, n_max=100, trials=60, seed=3, rs=(0.5, 1.0))
     for ens, r in zip(both, (0.5, 1.0)):
-        single = simulate(spec, n_max=100, trials=60, seed=3, r=r)
+        single = simulate_many(spec, n_max=100, trials=60, seed=3, rs=(r,))[0]
         assert np.array_equal(ens.sup_values, single.sup_values)
         assert ens.norming_r == r
 
@@ -62,7 +61,7 @@ def test_trajectory_sups_match_hand_rolled_walk():
     # from the same per-trial generator stream.
     spec = _scalar_spec()
     n_max, trials, seed, r = 32, 12, 99, 1.0
-    ens = simulate(spec, n_max=n_max, trials=trials, seed=seed, r=r)
+    ens = simulate_many(spec, n_max=n_max, trials=trials, seed=seed, rs=(r,))[0]
     ns = np.arange(1, n_max + 1)
     div = np.sqrt(ns) * np.log(np.log(ns + E_E - 1.0)) ** r
     div[0] = 1.0
@@ -101,7 +100,7 @@ def test_one_point_factor_norms_match_hand_rolled_walk():
     div = np.sqrt(ns) * np.log(np.log(ns + E_E - 1.0)) ** r
     div[0] = 1.0
     for spec, norm_of in ((lp, lp_norm_of), (mixed, mixed_norm_of)):
-        ens = simulate(spec, n_max=n_max, trials=trials, seed=seed, r=r)
+        ens = simulate_many(spec, n_max=n_max, trials=trials, seed=seed, rs=(r,))[0]
         for trial in range(trials):
             rng = np.random.Generator(
                 np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
@@ -115,14 +114,14 @@ def test_martingale_steps_are_conditionally_centered():
     # The sign-flip coupling keeps E[xi_j | past] = 0; empirically the mean of
     # xi_j conditioned on the sign of the running mean must vanish.
     spec = _scalar_spec(dependence="martingale", kappa=0.7)
-    ens = simulate(spec, n_max=2000, trials=200, seed=5, r=0.5)
+    ens = simulate_many(spec, n_max=2000, trials=200, seed=5, rs=(0.5,))[0]
     assert np.all(np.isfinite(ens.sup_values))
     assert ens.sup_values.min() > 0.0
 
 
 def test_zero_field_gives_zero_sups():
     spec = _scalar_spec("uniform", a=0.0)
-    ens = simulate(spec, n_max=50, trials=20, seed=1, r=0.5)
+    ens = simulate_many(spec, n_max=50, trials=20, seed=1, rs=(0.5,))[0]
     assert np.array_equal(ens.sup_values, np.zeros(20))
 
 
@@ -306,7 +305,7 @@ def test_field_spec_validation():
 def test_simulate_validates_norming_power():
     spec = _scalar_spec()
     with pytest.raises(ValueError):
-        simulate(spec, n_max=10, trials=5, seed=0, r=0.3)
+        simulate_many(spec, n_max=10, trials=5, seed=0, rs=(0.3,))[0]
 
 
 def test_resolve_threads_env_override(monkeypatch):
@@ -338,6 +337,6 @@ def test_mixed_norm_spec_simulates():
         p=(2.0, 4.0),
         a=1.0,
     )
-    ens = simulate(spec, n_max=32, trials=10, seed=21, r=1.0)
+    ens = simulate_many(spec, n_max=32, trials=10, seed=21, rs=(1.0,))[0]
     assert ens.sup_values.shape == (10,)
     assert np.all(ens.sup_values > 0.0)
