@@ -77,7 +77,9 @@ def _write_csv(path: str, header, rows) -> None:
 def _read_csv(path: str) -> dict:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, no header row")
         cols = {name: [] for name in header}
         for row in reader:
             for name, cell in zip(header, row):
@@ -103,9 +105,12 @@ def _parse_grid(text: str, *, log: bool) -> np.ndarray:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _cmd_norm(args) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "NuPDetail",
     "nu_p_detail",
     "nu_p",
-    "ChainedEnvelope",
     "nu_envelope",
     "holder_example_envelope",
     "DEFAULT_ALPHAS",
@@ -54,6 +53,8 @@ __all__ = [
 ]
 
 DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 3.0, 5.0)
+# (alpha, beta) with 1/alpha + 1/beta = 1, the pairs the chaining distance minimizes over
+_CONJUGATE_PAIRS = tuple((a, a / (a - 1.0)) for a in DEFAULT_ALPHAS)
 DEFAULT_THETA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 2))
 
 _MAX_K_TERMS = 10_000
@@ -139,37 +140,18 @@ def J_functional(
     return float((W * rho) @ field.x_space.weights)
 
 
-def _conjugate_pairs(alphas: Sequence[float]) -> list:
-    pairs = []
-    for a in alphas:
-        a = float(a)
-        if a <= 1.0:
-            raise ValueError("every alpha must exceed 1")
-        pairs.append((a, a / (a - 1.0)))
-    if not pairs:
-        raise ValueError("alpha grid must be nonempty")
-    return pairs
-
-
-def distance_r(
-    field: IndexedField,
-    t: int,
-    s: int,
-    p: float,
-    Z: float,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> float:
+def distance_r(field: IndexedField, t: int, s: int, p: float, Z: float) -> float:
     """Chaining distance r_{p,Z}(t,s) = 2p inf_{alpha,beta} K_R(alpha Z) K_R^{p-1}((p-1) beta Z) J.
 
-    The infimum runs over conjugate pairs 1/alpha + 1/beta = 1 from the
-    supplied alpha grid.
+    The infimum runs over conjugate pairs 1/alpha + 1/beta = 1 with alpha
+    from DEFAULT_ALPHAS.
     """
     if p < 2.0:
         raise ValueError("p must be >= 2")
     if Z < 1.0:
         raise ValueError("Z must be >= 1")
     best = math.inf
-    for a, b in _conjugate_pairs(alphas):
+    for a, b in _CONJUGATE_PAIRS:
         val = (
             rosenthal_upper(a * Z)
             * rosenthal_upper((p - 1.0) * b * Z) ** (p - 1.0)
@@ -179,20 +161,17 @@ def distance_r(
     return 2.0 * p * best
 
 
-def distance_r_matrix(
-    field: IndexedField, p: float, Z: float, alphas: Sequence[float] = DEFAULT_ALPHAS
-) -> np.ndarray:
+def distance_r_matrix(field: IndexedField, p: float, Z: float) -> np.ndarray:
     """Full (nt, nt) matrix of r_{p,Z}; symmetric with zero diagonal."""
     if p < 2.0:
         raise ValueError("p must be >= 2")
     if Z < 1.0:
         raise ValueError("Z must be >= 1")
-    pairs = _conjugate_pairs(alphas)
     nt = field.n_t
     mu_w = field.x_space.weights
     om_w = field.omega_weights
     best = np.full((nt, nt), math.inf)
-    for a, b in pairs:
+    for a, b in _CONJUGATE_PAIRS:
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
         v = a * Z
         diff = np.abs(field.values[:, :, None, :] - field.values[:, None, :, :])
@@ -410,7 +389,6 @@ def nu_p_detail(
     Z: float,
     covering=None,
     theta_grid=None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> NuPDetail:
     """Evaluate nu_p(Z) = (sigma_hat * inf_theta sum_k ...)^(1/p) with its theta table.
 
@@ -429,7 +407,7 @@ def nu_p_detail(
     if isinstance(source, IndexedField):
         sig_hat = sigma_hat(source, p, Z)
         if covering is None:
-            r_mat = distance_r_matrix(source, p, Z, alphas)
+            r_mat = distance_r_matrix(source, p, Z)
             if sig_hat > 0.0:
                 r_mat = r_mat / sig_hat
             covering = EmpiricalCovering.from_distance_matrix(r_mat)
@@ -463,43 +441,9 @@ def nu_p_detail(
     return NuPDetail(p, Z, sig_hat, thetas, sums, value, float(thetas[i]), rescaled)
 
 
-def nu_p(
-    source,
-    p: float,
-    Z: float,
-    covering=None,
-    theta_grid=None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> float:
+def nu_p(source, p: float, Z: float, covering=None, theta_grid=None) -> float:
     """The entropy functional value nu_p(Z); math.inf marks divergence."""
-    return nu_p_detail(source, p, Z, covering, theta_grid, alphas).value
-
-
-@dataclass(frozen=True)
-class ChainedEnvelope:
-    """Bundle of the chained quantities for one field: Z -> sigma_bar, sigma_hat, r_hat, nu."""
-
-    field: IndexedField
-    p: float
-    alphas: tuple = DEFAULT_ALPHAS
-    theta_grid: Optional[tuple] = None
-
-    def sigma_bar(self, Z: float) -> float:
-        return sigma_bar(self.field, self.p, Z)
-
-    def sigma_hat(self, Z: float) -> float:
-        return sigma_hat(self.field, self.p, Z)
-
-    def r_hat_matrix(self, Z: float) -> np.ndarray:
-        r = distance_r_matrix(self.field, self.p, Z, self.alphas)
-        sig = self.sigma_hat(Z)
-        return r / sig if sig > 0.0 else r
-
-    def covering(self, Z: float) -> EmpiricalCovering:
-        return EmpiricalCovering.from_distance_matrix(self.r_hat_matrix(Z))
-
-    def nu(self, Z: float) -> float:
-        return nu_p(self.field, self.p, Z, theta_grid=self.theta_grid, alphas=self.alphas)
+    return nu_p_detail(source, p, Z, covering, theta_grid).value
 
 
 def _nu_grid_envelope(
@@ -529,7 +473,6 @@ def nu_envelope(
     p: float,
     Z_grid,
     *,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
     theta_grid=None,
     label: str = "",
 ) -> MomentEnvelope:
@@ -548,7 +491,7 @@ def nu_envelope(
             if sig >= 1.0:
                 thetas = np.asarray(DEFAULT_THETA_GRID) / sig
                 rescaled_any = True
-        g[i] = nu_p(field, p, Z, theta_grid=thetas, alphas=alphas)
+        g[i] = nu_p(field, p, Z, theta_grid=thetas)
     return _nu_grid_envelope(p, Z_grid, g, rescaled_any, label or "chained")
 
 

@@ -1,11 +1,11 @@
 """Moment envelopes g(L) for normed sums and the moment-to-tail conversion.
 
 An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) on a domain
-(domain_low, L0).  Every field envelope comes from one core, g(L) = m(L)
-K_R(L) ||(E|xi(x)|^L)^(1/L)|| with m the Doob factor and K_R the Rosenthal
-constant, fed per-point log-moments and a norm over X: lp of order L, or
-mixed with exponents p_vec.  Tails follow by the Chebyshev-Markov step
-optimized over the moment order:
+(domain_low, L0).  Every field envelope comes from one core, g(L) = 2
+K_R(L) ||(E|xi(x)|^L)^(1/L)|| with 2 the ceiling of the Doob factor and K_R
+the Rosenthal constant, fed per-point log-moments and a norm over X: lp of
+order L, or mixed with exponents p_vec.  Tails follow by the
+Chebyshev-Markov step optimized over the moment order:
 
     h(z) = min(1, inf_L (g(L)/z)^L),
 
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .constants import doob_factor, rosenthal_upper
+from .constants import rosenthal_upper
 from .grid_spaces import GridFunction, _broadcast_weights, _mixed_norm_array
 
 if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annotations only
@@ -50,16 +50,6 @@ _DEFAULT_GRID_TOP = 1e8
 _GOLDEN_ITERS = 64
 _GOLDEN_REL_WIDTH = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _doob_multiplier(L: float, sharp: bool) -> float:
-    """Factor covering the maximal inequality inside g: the ceiling 2 by default.
-
-    With sharp=True the exact L/(L-1) is used instead; either way the factor
-    lives inside g and the tail-sum argument stays u*v(A(k))/w, so the factor
-    is applied exactly once.
-    """
-    return doob_factor(L) if sharp else 2.0
 
 
 @dataclass(eq=False)
@@ -155,15 +145,16 @@ class MomentEnvelope:
         return float(self.L_grid[-1])
 
 
-def _field_g(log_moment, axes, p_vec=None, *, sharp_doob=False, symmetric=False) -> Callable[[float], float]:
-    """g(L) = (Doob factor) * K_R(L) * || (E|xi(x)|^L)^(1/L) || from log-moments.
+def _field_g(log_moment, axes, p_vec=None) -> Callable[[float], float]:
+    """g(L) = 2 * K_R(L) * || (E|xi(x)|^L)^(1/L) || from log-moments.
 
     log_moment(L) is log E|xi(x)|^L as an array over the X axes, axis 0
     innermost.  With p_vec None, X is one axis and the norm is its L-norm,
     ( integral_X E|xi(x)|^L mu(dx) )^(1/L), taken in log space: |xi|^L
     overflows directly for |xi| > 1 once L is large, the root never does.
     Otherwise the norm is the p_vec mixed norm of the pointwise roots, each
-    bounded by max|xi|, so it never overflows either.
+    bounded by max|xi|, so it never overflows either.  The 2 covers the
+    maximal inequality inside g, so the tail-sum argument stays u*v(A(k))/w.
     """
     if p_vec is None:
         (space,) = axes
@@ -183,7 +174,7 @@ def _field_g(log_moment, axes, p_vec=None, *, sharp_doob=False, symmetric=False)
             return _mixed_norm_array(np.exp(log_moment(L) / L), weights, p_vec)
 
     def g(L: float) -> float:
-        return _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * root(L)
+        return 2.0 * rosenthal_upper(L) * root(L)
 
     return g
 
@@ -213,12 +204,11 @@ def envelope_for_field_spec(
     spec: FieldSpec,
     L_grid=None,
     *,
-    sharp_doob: bool = False,
     label: str = "",
 ) -> MomentEnvelope:
     """Moment envelope g(L) for a field spec, matching its norm.
 
-    lp: g(L) = (Doob factor) * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
+    lp: g(L) = 2 * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
     mixed: the integral is replaced by the mixed norm of x -> (E|xi(x)|^L)^(1/L).
     Both feed the closed-form moments to the field core, _field_g.  The
     martingale mode only inflates moments by its amplitude cap (1 + kappa);
@@ -237,7 +227,6 @@ def envelope_for_field_spec(
         lambda L: _log_abs_moment(spec, L).reshape(shape, order="F"),
         spec.spaces,
         None if lp else spec.p,
-        sharp_doob=sharp_doob,
     )
     return MomentEnvelope.from_callable(
         g_fn,
@@ -248,7 +237,7 @@ def envelope_for_field_spec(
     )
 
 
-def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, sharp_doob, symmetric, **kwargs) -> MomentEnvelope:
+def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, **kwargs) -> MomentEnvelope:
     """Grid envelope from the exact moments of xi on X x Omega (Omega = last axis).
 
     kwargs go to MomentEnvelope; their p_vec, if any, picks the mixed norm.
@@ -268,8 +257,6 @@ def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, sharp_doob, sym
         lambda L: logsumexp(L * log_abs + log_ow, axis=-1),
         xi.axes[:-1],
         kwargs.get("p_vec"),
-        sharp_doob=sharp_doob,
-        symmetric=symmetric,
     )
     g_values = np.array([g(L) for L in L_grid])
     return MomentEnvelope(L_grid, g_values, domain_low=p_low, kind="grid", **kwargs)
@@ -280,20 +267,18 @@ def envelope_from_field(
     p: float,
     L_grid,
     *,
-    sharp_doob: bool = False,
-    symmetric: bool = False,
     label: str = "",
 ) -> MomentEnvelope:
     """Envelope for a field sampled on X x Omega (Omega = last axis, probability grid).
 
-    g(L) = (Doob factor) * K_R(L) * ( integral_X E|xi(x)|^L mu(dx) )^(1/L),
+    g(L) = 2 * K_R(L) * ( integral_X E|xi(x)|^L mu(dx) )^(1/L),
     with every integral an exact weighted sum.  All moments of a finite field
     are finite, so L0 = +inf.
     """
     if xi.n_factors != 2:
         raise ValueError("envelope_from_field expects a two-factor function on X x Omega")
     p = float(p)
-    return _grid_field_envelope(xi, p, L_grid, sharp_doob, symmetric, p=p, label=label)
+    return _grid_field_envelope(xi, p, L_grid, p=p, label=label)
 
 
 def envelope_from_moments(
@@ -302,8 +287,6 @@ def envelope_from_moments(
     L0: float = math.inf,
     L_grid=None,
     *,
-    sharp_doob: bool = False,
-    symmetric: bool = False,
     label: str = "",
 ) -> MomentEnvelope:
     """Envelope from an analytic moment function: g(L) = 2 K_R(L) moment_fn(L).
@@ -313,7 +296,7 @@ def envelope_from_moments(
     """
 
     def g_fn(L: float) -> float:
-        return _doob_multiplier(L, sharp_doob) * rosenthal_upper(L, symmetric) * float(moment_fn(L))
+        return 2.0 * rosenthal_upper(L) * float(moment_fn(L))
 
     return MomentEnvelope.from_callable(
         g_fn, domain_low=float(p), L0=L0, L_grid=L_grid, kind="analytic", p=float(p), label=label
@@ -325,8 +308,6 @@ def mixed_envelope_from_field(
     p_vec,
     L_grid,
     *,
-    sharp_doob: bool = False,
-    symmetric: bool = False,
     label: str = "",
 ) -> MomentEnvelope:
     """Mixed-norm envelope: g(L) = 2 K_R(L) * | (E|xi(x)|^L)^(1/L) |_{p_vec}.
@@ -338,9 +319,7 @@ def mixed_envelope_from_field(
     p_vec = tuple(float(q) for q in p_vec)
     if xi.n_factors != len(p_vec) + 1:
         raise ValueError("field must have one more factor (Omega, last axis) than p_vec")
-    return _grid_field_envelope(
-        xi, max(p_vec), L_grid, sharp_doob, symmetric, p_vec=p_vec, label=label
-    )
+    return _grid_field_envelope(xi, max(p_vec), L_grid, p_vec=p_vec, label=label)
 
 
 def _golden_min(f, a: float, b: float):

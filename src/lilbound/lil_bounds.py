@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 _TRUNCATION_REL = 1e-16
-_DEFAULT_MAX_TERMS = 10_000
+_MAX_TERMS = 10_000
+_D_RANGE = range(2, 17)
 MAX_ADMISSIBLE_W_EPS = 1e-9
 
 # Leading terms get the refined tail conversion; deeper terms (whose relative
@@ -82,17 +83,15 @@ def _sum_block_tails(
     norming: NormingSequence,
     w: float,
     u: float,
-    max_terms: int,
 ) -> BoundEvaluation:
     total = 0.0
-    prev = math.inf
     log_scale = math.log(u / w)
     k = 0
-    while k < max_terms:
+    while k < _MAX_TERMS:
         # one refined block at a time, then batched grid-only scans, which
         # keep full-horizon walks cheap
         refined = k < _REFINED_TERMS
-        batch = 1 if refined else min(_BATCH_TERMS, max_terms - k)
+        batch = 1 if refined else min(_BATCH_TERMS, _MAX_TERMS - k)
         vs = []
         exhausted = None
         try:
@@ -112,16 +111,16 @@ def _sum_block_tails(
             if term == 0.0:
                 # the h argument grows with k and h is non-increasing, so the tail is zero
                 return BoundEvaluation(float(running[j]), terms=k + j + 1)
-            if term <= prev and term < _TRUNCATION_REL * running[j]:
+            # no decreasing-term guard: a rising run below this threshold began within ulps of it
+            if term < _TRUNCATION_REL * running[j]:
                 return BoundEvaluation(float(running[j]), terms=k + j + 1)
-            prev = term
         k += len(vs)
         if exhausted is not None:
             raise ValueError(
                 f"partition exhausted at block {k + 1} before the series truncated"
             ) from exhausted
         total = running[-1]
-    return BoundEvaluation(1.0, vacuous=True, diverged=True, terms=max_terms)
+    return BoundEvaluation(1.0, vacuous=True, diverged=True, terms=_MAX_TERMS)
 
 
 def upper_bound(
@@ -130,26 +129,23 @@ def upper_bound(
     norming: NormingSequence,
     w: float,
     u: float,
-    *,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    y_check_k: int = 64,
 ) -> BoundEvaluation:
     """Block-sum upper bound from any moment envelope (plain, mixed or entropy).
 
     Requires u >= e and the partition in class Y(w) (a proven violation
-    raises; a finitely-checked inconclusive verdict for explicit or custom
-    partitions is accepted and left to the caller's judgement).  The series
-    truncates when a term falls below 1e-16 of the running sum while terms
-    are decreasing; if that never happens within max_terms the bound is
-    reported as diverged with value 1.0 (still a valid probability bound).
+    raises; a finitely-checked inconclusive verdict for explicit partitions
+    is accepted and left to the caller's judgement).  The series truncates
+    when a term falls below 1e-16 of the running sum; if that never happens
+    within 10,000 terms the bound is reported as diverged with value 1.0
+    (still a valid probability bound).
     """
     u = _require_u(u)
-    verdict = class_Y_check(partition, w, K_check=y_check_k)
+    verdict = class_Y_check(partition, w)
     if verdict.status == "violated":
         raise ValueError(
             f"partition is not in class Y(w={w}); ratio drops below w^2 at k={verdict.violated_at}"
         )
-    return _sum_block_tails(env, partition, norming, w, u, max_terms)
+    return _sum_block_tails(env, partition, norming, w, u)
 
 
 @dataclass(frozen=True)
@@ -167,29 +163,20 @@ def max_admissible_w(d: int) -> float:
     return math.sqrt(d) - MAX_ADMISSIBLE_W_EPS
 
 
-def optimize_bound(
-    env: MomentEnvelope,
-    norming: NormingSequence,
-    u: float,
-    d_range=range(2, 17),
-    *,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-) -> OptimizedBound:
-    """Minimize the bound over the geometric partition family.
+def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> OptimizedBound:
+    """Minimize the bound over the geometric partitions d = 2..16.
 
     Each candidate d uses its maximal admissible w = sqrt(d) - 1e-9 (the bound
     improves with w for fixed partition).  Ties break toward smaller d; if
     every candidate is vacuous the result is 1.0 with the vacuous flag set.
     """
     best: Optional[OptimizedBound] = None
-    for d in d_range:
+    for d in _D_RANGE:
         w = max_admissible_w(d)
-        ev = _sum_block_tails(env, geometric_partition(d), norming, w, _require_u(u), max_terms)
+        ev = _sum_block_tails(env, geometric_partition(d), norming, w, _require_u(u))
         cand = OptimizedBound(ev.value, d, w, ev.vacuous, ev.diverged, ev.terms)
         if best is None or cand.value < best.value:
             best = cand
-    if best is None:
-        raise ValueError("empty partition family")
     return best
 
 
@@ -244,8 +231,8 @@ class TailBoundCurve:
     def __post_init__(self):
         u = np.asarray(self.u_grid, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if u.ndim != 1 or vals.shape != u.shape:
-            raise ValueError("u_grid and values must be matching 1-d arrays")
+        if u.ndim != 1 or u.size == 0 or vals.shape != u.shape:
+            raise ValueError("u_grid and values must be matching nonempty 1-d arrays")
         if not np.all(np.isfinite(u)):
             raise ValueError("u grid must be finite")
         if np.any(np.diff(u) <= 0.0):
@@ -266,8 +253,6 @@ def evaluate_bound_curve(
     optimize: bool = False,
     d: int = 2,
     w: Optional[float] = None,
-    d_range=range(2, 17),
-    max_terms: int = _DEFAULT_MAX_TERMS,
 ) -> TailBoundCurve:
     """Evaluate the bound on a u grid, optionally optimizing the partition per u."""
     u_grid = np.asarray(u_grid, dtype=float)
@@ -283,9 +268,9 @@ def evaluate_bound_curve(
         partition = geometric_partition(d)
     for i, u in enumerate(u_grid):
         if optimize:
-            res = optimize_bound(env, norming, float(u), d_range, max_terms=max_terms)
+            res = optimize_bound(env, norming, float(u))
         else:
-            ev = upper_bound(env, partition, norming, w, float(u), max_terms=max_terms)
+            ev = upper_bound(env, partition, norming, w, float(u))
             res = OptimizedBound(ev.value, d, w, ev.vacuous, ev.diverged, ev.terms)
         values[i], ds[i], ws[i], ks[i] = res.value, res.d, res.w, res.terms
         flags[i] = res.vacuous or res.diverged

@@ -25,22 +25,20 @@ class Partition:
     """Block starts A(k): strictly increasing integers with A(1) = 1, A(k+1) >= A(k) + 2.
 
     Geometric partitions A(k) = d**k - d + 1 are generated analytically for
-    every k; explicit partitions know only their stored prefix; custom
-    partitions call a user closure.
+    every k; explicit partitions know only their stored prefix.
     """
 
-    kind: str  # "geometric" | "explicit" | "custom"
+    kind: str  # "geometric" | "explicit"
     d: Optional[int] = None
     prefix: tuple[int, ...] = ()
-    fn: Optional[Callable[[int], int]] = None
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "explicit", "custom"):
+        if self.kind not in ("geometric", "explicit"):
             raise ValueError(f"unknown partition kind {self.kind!r}")
         if self.kind == "geometric":
             if self.d is None or self.d < 2:
                 raise ValueError("geometric partition requires integer d >= 2")
-        elif self.kind == "explicit":
+        else:
             a = tuple(int(x) for x in self.prefix)
             if not a or a[0] != 1:
                 raise ValueError("partition must start at A(1) = 1")
@@ -48,11 +46,6 @@ class Partition:
                 if nxt < prev + 2:
                     raise ValueError("partition requires A(k+1) >= A(k) + 2")
             object.__setattr__(self, "prefix", a)
-        else:
-            if self.fn is None:
-                raise ValueError("custom partition requires a closure")
-            if self.fn(1) != 1:
-                raise ValueError("partition must start at A(1) = 1")
 
     def A(self, k: int) -> int:
         """Block start A(k); exact integer arithmetic for the geometric family."""
@@ -60,29 +53,20 @@ class Partition:
             raise ValueError("partition index starts at k = 1")
         if self.kind == "geometric":
             return self.d**k - self.d + 1
-        if self.kind == "explicit":
-            if k > len(self.prefix):
-                raise ValueError(
-                    f"explicit partition knows only A(1..{len(self.prefix)}); A({k}) requested"
-                )
-            return self.prefix[k - 1]
-        return int(self.fn(k))
-
-    @property
-    def max_known_k(self) -> float:
-        return len(self.prefix) if self.kind == "explicit" else math.inf
+        if k > len(self.prefix):
+            raise ValueError(
+                f"explicit partition knows only A(1..{len(self.prefix)}); A({k}) requested"
+            )
+        return self.prefix[k - 1]
 
     def ratio(self, k: int) -> float:
         """Block-endpoint ratio (A(k+1) - 1) / A(k)."""
         return (self.A(k + 1) - 1) / self.A(k)
 
 
-def geometric_partition(d: int, K: int = 0) -> Partition:
-    """A(k) = d**k - d + 1; the stored prefix of length K is cosmetic."""
-    part = Partition(kind="geometric", d=int(d))
-    if K:
-        object.__setattr__(part, "prefix", tuple(part.A(k) for k in range(1, K + 1)))
-    return part
+def geometric_partition(d: int) -> Partition:
+    """A(k) = d**k - d + 1."""
+    return Partition(kind="geometric", d=int(d))
 
 
 def explicit_partition(A) -> Partition:
@@ -102,16 +86,18 @@ class YVerdict:
 
 
 _GEOMETRIC_SCAN_CAP = 1_000_000
+_Y_CHECK_K = 64
 
 
-def class_Y_check(partition: Partition, w: float, K_check: int = 64) -> YVerdict:
+def class_Y_check(partition: Partition, w: float) -> YVerdict:
     """Check whether the partition belongs to Y(w).
 
     Geometric partitions admit an analytic verdict: the ratio
     (d^(k+1) - d)/(d^k - d + 1) decreases to d (it equals 2 identically for
     d = 2), so the infimum is d and membership is w^2 <= d, non-strict.
-    Other partitions are checked for k <= K_check and report `inconclusive`
-    when no violation is found, since the infinite tail cannot be certified.
+    Explicit partitions are checked for k <= 64 within their prefix and
+    report `inconclusive` when no violation is found, since the infinite tail
+    cannot be certified.
     """
     if not w > 1.0:
         raise ValueError("class Y(w) is used with w > 1")
@@ -126,8 +112,7 @@ def class_Y_check(partition: Partition, w: float, K_check: int = 64) -> YVerdict
                 return YVerdict("violated", violated_at=k, inf_ratio=d)
             k += 1
         return YVerdict("violated", violated_at=None, inf_ratio=d)  # w^2 > inf, k beyond cap
-    limit = K_check if partition.kind == "custom" else min(K_check, len(partition.prefix) - 1)
-    for k in range(1, max(limit, 0) + 1):
+    for k in range(1, min(_Y_CHECK_K, len(partition.prefix) - 1) + 1):
         if partition.ratio(k) < w2:
             return YVerdict("violated", violated_at=k)
     return YVerdict("inconclusive")

@@ -12,7 +12,6 @@ bit-identical for any worker count and any chunking of the trial range.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -172,10 +171,6 @@ class FieldSpec:
             )
         except KeyError as exc:
             raise ValueError(f"field spec JSON is missing field {exc}") from exc
-
-    @classmethod
-    def from_json_str(cls, text: str) -> "FieldSpec":
-        return cls.from_json(json.loads(text))
 
 
 @dataclass(frozen=True)

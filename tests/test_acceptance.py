@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
+import lilbound
 from lilbound import (
     AnalyticCovering,
     FieldSpec,
@@ -358,6 +359,9 @@ def test_criterion_10_thread_count_invariance(tmp_path):
     )
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec.to_json()))
+    # the subprocess imports the same lilbound as this test, however pytest found it
+    src = os.path.dirname(os.path.dirname(lilbound.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "4", "8"):
         out = tmp_path / f"sim{threads}.csv"
@@ -381,7 +385,7 @@ def test_criterion_10_thread_count_invariance(tmp_path):
             "--out",
             str(out),
         ]
-        env = {**os.environ, "LIL_THREADS": threads}
+        env = {**os.environ, "LIL_THREADS": threads, "PYTHONPATH": pythonpath}
         result = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())

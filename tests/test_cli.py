@@ -206,6 +206,36 @@ def test_compare_subcommand_missing_column_fails(tmp_path, capsys):
     assert "missing column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sim_text,bound_text",
+    [("", ""), ("u,q_hat,cp_upper_99,trials\n", "u,bound\n")],
+    ids=["zero-byte", "header-only"],
+)
+def test_compare_without_data_rows_is_an_error(tmp_path, capsys, sim_text, bound_text):
+    sim = tmp_path / "sim.csv"
+    sim.write_text(sim_text)
+    bound = tmp_path / "bound.csv"
+    bound.write_text(bound_text)
+    assert run(["compare", "--sim", str(sim), "--bound", str(bound)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--function", "{}", "--p", "2"],
+        ["bound", "--envelope", "{}"],
+        ["simulate", "--spec", "{}"],
+        ["entropy", "--covering", "{}", "--p", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_input_that_is_not_an_object_is_an_error(tmp_path, capsys, argv):
+    path = _write_json(tmp_path / "list.json", [1, 2])
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err

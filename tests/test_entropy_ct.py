@@ -8,7 +8,6 @@ import pytest
 
 from lilbound import (
     AnalyticCovering,
-    ChainedEnvelope,
     EmpiricalCovering,
     GridMeasureSpace,
     IndexedField,
@@ -204,20 +203,6 @@ def test_nu_validation():
         nu_p(field, 1.5, 2.0)  # p below 2
     with pytest.raises(ValueError):
         nu_p(field, 2.0, 0.5)  # Z below 1
-
-
-def test_chained_envelope_bundles_field_quantities():
-    rng = np.random.default_rng(20260850)
-    field = _random_field(rng)
-    chained = ChainedEnvelope(field, 2.0)
-    Z = 1.5
-    assert chained.sigma_bar(Z) == pytest.approx(sigma_bar(field, 2.0, Z))
-    assert chained.sigma_hat(Z) == pytest.approx(sigma_hat(field, 2.0, Z))
-    mat = chained.r_hat_matrix(Z)
-    assert mat.shape == (field.n_t, field.n_t)
-    assert chained.nu(Z) == pytest.approx(nu_p(field, 2.0, Z), rel=1e-12)
-    cov = chained.covering(Z)
-    assert cov.n_sat <= field.n_t
 
 
 def test_nu_envelope_is_a_moment_envelope():

@@ -27,8 +27,16 @@ def test_traced_attributes_resolve(module, path):
     assert callable(obj)
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in lilbound.__all__ if not hasattr(lilbound, name)]
+MODULES = ["lilbound"] + [
+    f"lilbound.{name}"
+    for name in ("cli", "constants", "entropy_ct", "envelopes", "grid_spaces", "lil_bounds", "partitions", "simulate")
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
 
 
