@@ -82,6 +82,10 @@ def _read_csv(path: str) -> dict:
             raise ValueError(f"{path}: empty CSV, no header row")
         cols = {name: [] for name in header}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, the header has {len(header)}"
+                )
             for name, cell in zip(header, row):
                 cols[name].append(cell)
     return cols

@@ -97,13 +97,14 @@ class MixingProfile:
 
 
 _MAX_TAIL_TERMS = 200_000
+_TAIL_TOL = 1e-12
 
 
-def mixingale_coefficient(m: float, profile: MixingProfile, tail_tol: float = 1e-12) -> float:
+def mixingale_coefficient(m: float, profile: MixingProfile) -> float:
     """Mixingale Rosenthal coefficient m * [sum_k beta(k) (k+1)^((m-2)/2)]^(1/m).
 
     The explicit prefix is summed exactly; the analytic tail is summed until a
-    closed-form bound on the remainder drops below tail_tol relative to the
+    closed-form bound on the remainder drops below 1e-12 relative to the
     running sum, and that final sub-tolerance bound is then added so the result
     is a tight upper estimate (exact for a geometric tail at m = 2, where the
     bound coincides with the true remainder).  Returns math.inf when the tail
@@ -112,8 +113,6 @@ def mixingale_coefficient(m: float, profile: MixingProfile, tail_tol: float = 1e
     """
     if m < 1.0:
         raise ValueError("mixingale_coefficient requires m >= 1")
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive")
     s = (m - 2.0) / 2.0
 
     if profile.tail == "power" and s - profile.power >= -1.0:
@@ -129,7 +128,7 @@ def mixingale_coefficient(m: float, profile: MixingProfile, tail_tol: float = 1e
             term = profile.beta(k) * (k + 1.0) ** s
             total += term
             rem = _tail_remainder_bound(profile, s, k)
-            if rem <= tail_tol * total:
+            if rem <= _TAIL_TOL * total:
                 total += rem
                 break
             k += 1

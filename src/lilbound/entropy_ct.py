@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -66,14 +66,11 @@ class IndexedField:
 
     values has shape (nx, nt, n_omega); omega_weights is a probability vector
     (the law of one summand); every slice xi(x, t, .) must be centered.
-    t_points holds parameter coordinates for reference (shape (nt,) or
-    (nt, dim)); the chaining distance is built from moments, not from these.
     """
 
     x_space: GridMeasureSpace
     omega_weights: np.ndarray
     values: np.ndarray
-    t_points: Optional[np.ndarray] = None
 
     def __post_init__(self):
         w = np.asarray(self.omega_weights, dtype=float)
@@ -93,42 +90,57 @@ class IndexedField:
         tol = 1e-9 * max(1.0, float(np.abs(vals).max(initial=0.0)))
         if np.any(np.abs(means) > tol):
             raise ValueError("field is not centered: E xi(x, t, .) != 0 at some (x, t)")
-        t = self.t_points
-        if t is None:
-            t = np.arange(vals.shape[1], dtype=float)
-        t = np.asarray(t, dtype=float)
-        if t.shape[0] != vals.shape[1]:
-            raise ValueError("t_points length must match the t axis of values")
         object.__setattr__(self, "omega_weights", w)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t_points", t)
 
     @property
     def n_t(self) -> int:
         return self.values.shape[1]
 
 
+def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
+    """v -> (E|a|^v)^(1/v) over the last axis (weights w), as m (E(|a|/m)^v)^(1/v).
+
+    m is the largest |a| of the row (a row with m = 0 gives 0).  The largest
+    term of each sum is then exactly its weight, so no order v underflows it.
+    The scaling depends on a only and is done once, for every v asked.
+    """
+    a = np.abs(a)
+    m = a.max(axis=-1)
+    ratio = np.divide(a, m[..., None], out=np.zeros_like(a), where=m[..., None] > 0.0)
+    return lambda v: m * (ratio**v @ w) ** (1.0 / v)
+
+
 def moment_distance_rho(field: IndexedField, t: int, s: int, v: float) -> np.ndarray:
     """Per-point moment distance rho_{v,x}(t, s) = (E|xi(x,t) - xi(x,s)|^v)^(1/v).
 
     t and s are indices into the parameter grid; the result is the vector
-    over x (exact finite-Omega moments).
+    over x (exact finite-Omega moments), max-scaled as m (E(|diff|/m)^v)^(1/v)
+    with m the largest |diff| at x, so differences below 1 cannot underflow to 0.
     """
     if v < 1.0:
         raise ValueError("moment order v must be >= 1")
     nt = field.n_t
     if not (0 <= t < nt and 0 <= s < nt):
         raise ValueError(f"parameter indices must lie in [0, {nt})")
-    diff = np.abs(field.values[:, t, :] - field.values[:, s, :])
-    return (diff**v @ field.omega_weights) ** (1.0 / v)
+    diff = field.values[:, t, :] - field.values[:, s, :]
+    return _moment_root(diff, field.omega_weights)(v)
 
 
 def field_W(field: IndexedField, gamma: float) -> np.ndarray:
-    """W_gamma(x) = sup_t (E|xi(x,t)|^gamma)^(1/gamma), as a vector over x."""
+    """W_gamma(x) = sup_t (E|xi(x,t)|^gamma)^(1/gamma), as a vector over x.
+
+    Each root is max-scaled, m (E(|xi|/m)^gamma)^(1/gamma) with m = max |xi(x,t,.)|,
+    so values below 1 raised to a large gamma cannot underflow W to 0.
+    """
     if gamma < 1.0:
         raise ValueError("moment order gamma must be >= 1")
-    moments = np.abs(field.values) ** gamma @ field.omega_weights
-    return moments.max(axis=1) ** (1.0 / gamma)
+    return _moment_root(field.values, field.omega_weights)(gamma).max(axis=1)
+
+
+def _pair_weight(p: float, Z: float, alpha: float, beta: float) -> float:
+    """Rosenthal weight K_R(alpha Z) K_R^(p-1)((p-1) beta Z) of one conjugate pair."""
+    return rosenthal_upper(alpha * Z) * rosenthal_upper((p - 1.0) * beta * Z) ** (p - 1.0)
 
 
 def J_functional(
@@ -150,14 +162,10 @@ def distance_r(field: IndexedField, t: int, s: int, p: float, Z: float) -> float
         raise ValueError("p must be >= 2")
     if Z < 1.0:
         raise ValueError("Z must be >= 1")
-    best = math.inf
-    for a, b in _CONJUGATE_PAIRS:
-        val = (
-            rosenthal_upper(a * Z)
-            * rosenthal_upper((p - 1.0) * b * Z) ** (p - 1.0)
-            * J_functional(field, t, s, p, Z, a, b)
-        )
-        best = min(best, val)
+    best = min(
+        _pair_weight(p, Z, a, b) * J_functional(field, t, s, p, Z, a, b)
+        for a, b in _CONJUGATE_PAIRS
+    )
     return 2.0 * p * best
 
 
@@ -169,27 +177,28 @@ def distance_r_matrix(field: IndexedField, p: float, Z: float) -> np.ndarray:
         raise ValueError("Z must be >= 1")
     nt = field.n_t
     mu_w = field.x_space.weights
-    om_w = field.omega_weights
+    # |xi(x,t) - xi(x,s)| and its scaling depend on the field only, not on the pair
+    rho = _moment_root(field.values[:, :, None, :] - field.values[:, None, :, :], field.omega_weights)
     best = np.full((nt, nt), math.inf)
     for a, b in _CONJUGATE_PAIRS:
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        v = a * Z
-        diff = np.abs(field.values[:, :, None, :] - field.values[:, None, :, :])
-        rho = (diff**v @ om_w) ** (1.0 / v)
-        J = np.einsum("x,xts->ts", mu_w * W, rho)
-        cand = rosenthal_upper(a * Z) * rosenthal_upper((p - 1.0) * b * Z) ** (p - 1.0) * J
-        best = np.minimum(best, cand)
+        J = np.einsum("x,xts->ts", mu_w * W, rho(a * Z))
+        best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
     out = 2.0 * p * best
     np.fill_diagonal(out, 0.0)
     return out
 
 
 def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
-    """sigma_bar = sup_t int_X (E|xi(x,t)|^{pZ})^{1/Z} mu(dx)."""
+    """sigma_bar = sup_t int_X (E|xi(x,t)|^{pZ})^{1/Z} mu(dx).
+
+    The integrand is the p-th power of the max-scaled pZ-th moment root (see
+    field_W), so values below 1 raised to pZ cannot underflow it to 0.
+    """
     if p < 2.0 or Z < 1.0:
         raise ValueError("requires p >= 2 and Z >= 1")
-    moments = np.abs(field.values) ** (p * Z) @ field.omega_weights
-    per_t = (moments ** (1.0 / Z)).T @ field.x_space.weights
+    roots = _moment_root(field.values, field.omega_weights)(p * Z)
+    per_t = (roots**p).T @ field.x_space.weights
     return float(per_t.max())
 
 
@@ -369,6 +378,14 @@ def _inner_theta_sum(covering, s: float, theta: float, Z: float) -> float:
     return math.inf
 
 
+def _default_thetas(sig_hat: float) -> tuple[np.ndarray, bool]:
+    """DEFAULT_THETA_GRID, rescaled into (0, 1/sigma_hat) when sigma_hat >= 1 (flagged True)."""
+    thetas = np.asarray(DEFAULT_THETA_GRID, dtype=float)
+    if sig_hat >= 1.0:
+        return thetas / sig_hat, True
+    return thetas, False
+
+
 @dataclass(frozen=True)
 class NuPDetail:
     """Per-theta breakdown of one nu_p(Z) evaluation."""
@@ -417,17 +434,15 @@ def nu_p_detail(
             raise ValueError("sigma_hat must be nonnegative")
         if covering is None:
             raise ValueError("a covering function is required with a scalar sigma_hat")
-    rescaled = False
     if theta_grid is None:
-        thetas = np.asarray(DEFAULT_THETA_GRID, dtype=float)
-        if sig_hat >= 1.0:
-            thetas = thetas / sig_hat
-            rescaled = True
+        thetas, rescaled = _default_thetas(sig_hat)
+        if rescaled:
             warnings.warn(
                 f"sigma_hat = {sig_hat:.6g} >= 1; theta grid rescaled into (0, 1/sigma_hat)",
                 stacklevel=2,
             )
     else:
+        rescaled = False
         thetas = np.asarray(theta_grid, dtype=float)
         if thetas.size == 0 or np.any(thetas <= 0.0) or np.any(thetas >= 1.0):
             raise ValueError("theta grid must be a nonempty subset of (0, 1)")
@@ -487,10 +502,8 @@ def nu_envelope(
     for i, Z in enumerate(Z_grid):
         thetas = theta_grid
         if thetas is None:
-            sig = sigma_hat(field, p, Z)
-            if sig >= 1.0:
-                thetas = np.asarray(DEFAULT_THETA_GRID) / sig
-                rescaled_any = True
+            thetas, rescaled = _default_thetas(sigma_hat(field, p, Z))
+            rescaled_any |= rescaled
         g[i] = nu_p(field, p, Z, theta_grid=thetas)
     return _nu_grid_envelope(p, Z_grid, g, rescaled_any, label or "chained")
 
@@ -536,18 +549,11 @@ def holder_example_envelope(
     for i, Z in enumerate(Z_grid):
         sig_bar = sigma_coeff * Z**b
         sig_hat = rosenthal_upper(p * Z) ** p * sig_bar
-        c_Z = (
-            2.0
-            * p
-            * rosenthal_upper(2.0 * Z)
-            * rosenthal_upper(2.0 * (p - 1.0) * Z) ** (p - 1.0)
-            * C_rho
-            * Z**b
-        )
+        c_Z = 2.0 * p * _pair_weight(p, Z, 2.0, 2.0) * C_rho * Z**b
         cov = AnalyticCovering(D=D * (c_Z / sig_hat) ** (1.0 / l), dim=dim, l=l, C_cov=C_cov)
         thetas = theta_grid
-        if thetas is None and sig_hat >= 1.0:
-            thetas = np.asarray(DEFAULT_THETA_GRID) / sig_hat
-            rescaled_any = True
+        if thetas is None:
+            thetas, rescaled = _default_thetas(sig_hat)
+            rescaled_any |= rescaled
         g[i] = nu_p(sig_hat, p, Z, covering=cov, theta_grid=thetas)
     return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "holder-example")

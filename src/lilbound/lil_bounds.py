@@ -68,7 +68,7 @@ class BoundEvaluation:
 
 
 def _block_norming_value(partition: Partition, norming: NormingSequence, k: int) -> float:
-    if partition.kind == "geometric" and norming.kind == "iterated_log":
+    if partition.kind == "geometric":
         log_a = k * math.log(partition.d)
         if log_a > _LOG_HUGE:
             # A(k) = d^k - d + 1: this deep the -d+1 and +e^e-1 shifts are far

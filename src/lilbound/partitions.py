@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = [
     "E_E",
@@ -120,34 +120,20 @@ def class_Y_check(partition: Partition, w: float) -> YVerdict:
 
 @dataclass(frozen=True)
 class NormingSequence:
-    """Norming v(n): the iterated-log family v_r(n) = [log log (n + e^e - 1)]^r, or a closure.
+    """Norming v(n): the iterated-log family v_r(n) = [log log (n + e^e - 1)]^r.
 
-    v(1) = 1 and v is strictly increasing to infinity for the iterated-log family.
+    v(1) = 1 and v is strictly increasing to infinity.
     """
 
-    kind: str = "iterated_log"  # "iterated_log" | "custom"
-    r: Optional[float] = None
-    fn: Optional[Callable[[int], float]] = None
+    r: float
 
     def __post_init__(self):
-        if self.kind == "iterated_log":
-            if self.r is None or self.r < 0.5:
-                raise ValueError("iterated-log norming requires r >= 1/2")
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom norming requires a closure")
-            if abs(self.fn(1) - 1.0) > 1e-12:
-                raise ValueError("norming sequences must satisfy v(1) = 1")
-        else:
-            raise ValueError(f"unknown norming kind {self.kind!r}")
+        if self.r < 0.5:
+            raise ValueError("iterated-log norming requires r >= 1/2")
 
     @classmethod
     def iterated_log(cls, r: float) -> "NormingSequence":
-        return cls(kind="iterated_log", r=float(r))
-
-    @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "NormingSequence":
-        return cls(kind="custom", fn=fn)
+        return cls(r=float(r))
 
     def __call__(self, n: int) -> float:
         return norming_value(self, n)
@@ -157,8 +143,6 @@ def norming_value(v: NormingSequence, n: int) -> float:
     """v(n) for integer n >= 1; exact 1.0 at n = 1."""
     if n < 1:
         raise ValueError("norming sequences are defined for n >= 1")
-    if v.kind == "custom":
-        return float(v.fn(n))
     if n == 1:
         return 1.0
     try:

@@ -208,10 +208,14 @@ def test_compare_subcommand_missing_column_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "sim_text,bound_text",
-    [("", ""), ("u,q_hat,cp_upper_99,trials\n", "u,bound\n")],
-    ids=["zero-byte", "header-only"],
+    [
+        ("", ""),
+        ("u,q_hat,cp_upper_99,trials\n", "u,bound\n"),
+        ("u,q_hat,cp_upper_99,trials\n2.72,0.1,0.2,100\n3.0,0.05\n", "u,bound\n2.72,0.5\n3.0,0.4\n"),
+    ],
+    ids=["zero-byte", "header-only", "short-row"],
 )
-def test_compare_without_data_rows_is_an_error(tmp_path, capsys, sim_text, bound_text):
+def test_compare_rejects_malformed_csv(tmp_path, capsys, sim_text, bound_text):
     sim = tmp_path / "sim.csv"
     sim.write_text(sim_text)
     bound = tmp_path / "bound.csv"

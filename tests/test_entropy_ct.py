@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lilbound import (
     AnalyticCovering,
     EmpiricalCovering,
     GridMeasureSpace,
     IndexedField,
+    NormingSequence,
     covering_from_json,
     covering_to_json,
     distance_r,
     distance_r_matrix,
+    evaluate_bound_curve,
     field_W,
     holder_example_envelope,
     moment_distance_rho,
@@ -36,6 +39,24 @@ def _random_field(rng, nx=3, nt=4, amplitude=0.3) -> IndexedField:
     v1 = rng.uniform(-1.0, 1.0, (nx, nt)) * amplitude
     vals = np.stack([v1, -v1 * q / (1.0 - q)], axis=-1)
     return IndexedField(GridMeasureSpace(xw), np.array([q, 1.0 - q]), vals)
+
+
+def _theta_field(seed, nx, nt) -> IndexedField:
+    # The two-outcome field of the benchmark's bound_sweep theta cell, its
+    # scale sup_t ||v1||_{L2(mu)} fixed at 0.22.
+    rng = np.random.default_rng(seed)
+    q = 0.4
+    xw = rng.uniform(0.2, 1.0, nx)
+    v1 = rng.uniform(-1.0, 1.0, (nx, nt))
+    v1 *= 0.22 / np.sqrt((xw / xw.sum()) @ v1**2).max()
+    vals = np.stack([v1, -v1 * q / (1.0 - q)], axis=-1)
+    return IndexedField(GridMeasureSpace(xw / xw.sum()), np.array([q, 1.0 - q]), vals)
+
+
+def _log_space_root(a, w, v):
+    # (sum_j w_j |a_j|^v)^(1/v) over the last axis, summed in log space
+    with np.errstate(divide="ignore"):
+        return np.exp(logsumexp(v * np.log(np.abs(a)) + np.log(w), axis=-1) / v)
 
 
 def test_field_requires_centered_slices():
@@ -79,6 +100,38 @@ def test_field_W_is_sup_of_moment_roots():
     w = field_W(field, gamma)
     direct = (np.abs(field.values) ** gamma @ field.omega_weights) ** (1.0 / gamma)
     assert np.allclose(w, direct.max(axis=1))
+
+
+def test_chaining_moments_do_not_underflow_at_large_Z():
+    # |xi| < 1 raised to p Z up to 1600 underflows a direct moment sum to 0,
+    # which would zero sigma_bar, W and the distances, and with them the bound.
+    field = _theta_field(7, 16, 64)
+    p, mu_w, om_w = 2.0, field.x_space.weights, field.omega_weights
+    diff = field.values[:, :, None, :] - field.values[:, None, :, :]
+    for Z in (200.0, 400.0, 800.0):
+        roots = _log_space_root(field.values, om_w, p * Z)
+        sig_ref = ((roots**p).T @ mu_w).max()
+        assert sigma_bar(field, p, Z) == pytest.approx(sig_ref, rel=1e-12)
+        assert np.allclose(field_W(field, p * Z), roots.max(axis=1), rtol=1e-12, atol=0.0)
+        best = np.full((field.n_t, field.n_t), math.inf)
+        for a in (1.25, 1.5, 2.0, 3.0, 5.0):
+            b = a / (a - 1.0)
+            W = _log_space_root(field.values, om_w, (p - 1.0) * b * Z).max(axis=1) ** (p - 1.0)
+            J = np.einsum("x,xts->ts", mu_w * W, _log_space_root(diff, om_w, a * Z))
+            weight = rosenthal_upper(a * Z) * rosenthal_upper((p - 1.0) * b * Z) ** (p - 1.0)
+            best = np.minimum(best, weight * J)
+        r_ref = 2.0 * p * best
+        np.fill_diagonal(r_ref, 0.0)
+        assert np.all(r_ref[~np.eye(field.n_t, dtype=bool)] > 0.0)
+        assert np.allclose(distance_r_matrix(field, p, Z), r_ref, rtol=1e-12, atol=0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        env = nu_envelope(field, p, np.geomspace(1.0, 800.0, 32))
+    assert np.all(env.g_values > 0.0)
+    u = np.linspace(math.e, 12.0, 5)
+    curve = evaluate_bound_curve(env, NormingSequence.iterated_log(1.0), u, optimize=True)
+    assert np.all(curve.values > 0.0)
 
 
 def test_distance_matrix_matches_pairwise_entries():

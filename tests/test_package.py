@@ -65,3 +65,30 @@ def test_block_walk_goes_through_the_traced_names(monkeypatch):
     )
     assert calls["tail"] == min(result.terms, lil_bounds._REFINED_TERMS)
     assert calls["log_g"] > calls["tail"]
+
+
+def test_nu_envelope_goes_through_the_traced_nu_p(monkeypatch):
+    # perfbench counts entropy_ct.nu_p calls by wrapping the module attribute;
+    # an envelope build that bypassed it would read as zero work.
+    import numpy as np
+
+    from lilbound import entropy_ct
+
+    calls = []
+    nu_p = entropy_ct.nu_p
+
+    def counted_nu_p(source, p, Z, covering=None, theta_grid=None):
+        calls.append(Z)
+        return nu_p(source, p, Z, covering, theta_grid)
+
+    monkeypatch.setattr(entropy_ct, "nu_p", counted_nu_p)
+    q = 0.4
+    v1 = np.array([[0.1, -0.2, 0.3], [0.2, 0.05, -0.1]])
+    field = lilbound.IndexedField(
+        lilbound.GridMeasureSpace(np.array([0.5, 0.5])),
+        np.array([q, 1.0 - q]),
+        np.stack([v1, -v1 * q / (1.0 - q)], axis=-1),
+    )
+    Z_grid = [1.0, 1.5, 2.0, 3.0]
+    lilbound.nu_envelope(field, 2.0, Z_grid)
+    assert calls == Z_grid

@@ -113,11 +113,6 @@ def test_norming_requires_r_at_least_half():
         NormingSequence.iterated_log(0.4)
 
 
-def test_custom_norming_passthrough():
-    v = NormingSequence.custom(lambda n: float(n) ** 0.1)
-    assert v(32) == pytest.approx(32.0**0.1)
-
-
 def test_e_e_constant():
     assert E_E == math.exp(math.e)
 
