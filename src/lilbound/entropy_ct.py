@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,6 +98,16 @@ class IndexedField:
     def n_t(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def _value_root(self) -> Callable[[float], np.ndarray]:
+        """v -> (E|xi(x,t,.)|^v)^(1/v), shape (nx, nt); its scaling is built once per field."""
+        return _moment_root(self.values, self.omega_weights)
+
+    @cached_property
+    def _diff_root(self) -> Callable[[float], np.ndarray]:
+        """v -> (E|xi(x,t,.) - xi(x,s,.)|^v)^(1/v), shape (nx, nt, nt); built once per field."""
+        return _moment_root(self.values[:, :, None, :] - self.values[:, None, :, :], self.omega_weights)
+
 
 def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
     """v -> (E|a|^v)^(1/v) over the last axis (weights w), as m (E(|a|/m)^v)^(1/v).
@@ -135,7 +146,7 @@ def field_W(field: IndexedField, gamma: float) -> np.ndarray:
     """
     if gamma < 1.0:
         raise ValueError("moment order gamma must be >= 1")
-    return _moment_root(field.values, field.omega_weights)(gamma).max(axis=1)
+    return field._value_root(gamma).max(axis=1)
 
 
 def _pair_weight(p: float, Z: float, alpha: float, beta: float) -> float:
@@ -177,12 +188,10 @@ def distance_r_matrix(field: IndexedField, p: float, Z: float) -> np.ndarray:
         raise ValueError("Z must be >= 1")
     nt = field.n_t
     mu_w = field.x_space.weights
-    # |xi(x,t) - xi(x,s)| and its scaling depend on the field only, not on the pair
-    rho = _moment_root(field.values[:, :, None, :] - field.values[:, None, :, :], field.omega_weights)
     best = np.full((nt, nt), math.inf)
     for a, b in _CONJUGATE_PAIRS:
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        J = np.einsum("x,xts->ts", mu_w * W, rho(a * Z))
+        J = np.einsum("x,xts->ts", mu_w * W, field._diff_root(a * Z))
         best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
     out = 2.0 * p * best
     np.fill_diagonal(out, 0.0)
@@ -197,7 +206,7 @@ def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
     """
     if p < 2.0 or Z < 1.0:
         raise ValueError("requires p >= 2 and Z >= 1")
-    roots = _moment_root(field.values, field.omega_weights)(p * Z)
+    roots = field._value_root(p * Z)
     per_t = (roots**p).T @ field.x_space.weights
     return float(per_t.max())
 
@@ -325,6 +334,8 @@ def covering_from_json(data: dict):
             return EmpiricalCovering(np.asarray(data.get("thresholds", []), dtype=float))
     except KeyError as exc:
         raise ValueError(f"covering JSON is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"covering JSON has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown covering kind {kind!r}")
 
 

@@ -78,8 +78,8 @@ class MomentEnvelope:
         g = np.asarray(self.g_values, dtype=float)
         if L.ndim != 1 or L.size < 1 or g.shape != L.shape:
             raise ValueError("L_grid and g_values must be matching 1-d arrays")
-        if np.any(np.diff(L) <= 0.0):
-            raise ValueError("evaluation grid must be strictly increasing")
+        if not np.all(np.isfinite(L)) or np.any(np.diff(L) <= 0.0):
+            raise ValueError("evaluation grid must be finite and strictly increasing")
         if not self.L0 > self.domain_low:
             raise ValueError("envelope domain requires L0 > domain_low")
         if L[0] < self.domain_low or L[-1] > self.L0:
@@ -479,4 +479,6 @@ def envelope_from_json(doc: dict) -> MomentEnvelope:
         )
     except KeyError as exc:
         raise ValueError(f"envelope JSON is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"envelope JSON has a field of the wrong type: {exc}") from exc
     return env

@@ -243,4 +243,6 @@ def grid_function_from_json(doc: dict) -> GridFunction:
         values = np.asarray(doc["values"], dtype=float).reshape(shape, order="F")
     except KeyError as exc:
         raise ValueError(f"grid function JSON is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"grid function JSON has a field of the wrong type: {exc}") from exc
     return GridFunction(axes, values)

@@ -25,7 +25,6 @@ from .partitions import E_E, NormingSequence, Partition, class_Y_check, geometri
 __all__ = [
     "BoundEvaluation",
     "upper_bound",
-    "OptimizedBound",
     "optimize_bound",
     "lower_bound_Q",
     "TailBoundCurve",
@@ -55,10 +54,13 @@ class BoundEvaluation:
 
     value is always a valid probability bound: 1.0 when the series is vacuous
     or fails to truncate (diverged), in which case the corresponding flag is
-    set.  terms is the truncation index (number of block terms summed).
+    set.  terms is the truncation index (number of block terms summed); d and
+    w are the geometric partition and class parameter the value was summed with.
     """
 
     value: float
+    d: int
+    w: float
     vacuous: bool = False
     diverged: bool = False
     terms: int = 0
@@ -68,12 +70,11 @@ class BoundEvaluation:
 
 
 def _block_norming_value(partition: Partition, norming: NormingSequence, k: int) -> float:
-    if partition.kind == "geometric":
-        log_a = k * math.log(partition.d)
-        if log_a > _LOG_HUGE:
-            # A(k) = d^k - d + 1: this deep the -d+1 and +e^e-1 shifts are far
-            # below float resolution, so v(A(k)) = (log(k log d))^r exactly
-            return math.log(log_a) ** norming.r
+    log_a = k * math.log(partition.d)
+    if log_a > _LOG_HUGE:
+        # A(k) = d^k - d + 1: this deep the -d+1 and +e^e-1 shifts are far
+        # below float resolution, so v(A(k)) = (log(k log d))^r exactly
+        return math.log(log_a) ** norming.r
     return norming(partition.A(k))
 
 
@@ -84,6 +85,7 @@ def _sum_block_tails(
     w: float,
     u: float,
 ) -> BoundEvaluation:
+    d = partition.d
     total = 0.0
     log_scale = math.log(u / w)
     k = 0
@@ -92,14 +94,7 @@ def _sum_block_tails(
         # keep full-horizon walks cheap
         refined = k < _REFINED_TERMS
         batch = 1 if refined else min(_BATCH_TERMS, _MAX_TERMS - k)
-        vs = []
-        exhausted = None
-        try:
-            for j in range(k + 1, k + batch + 1):
-                vs.append(_block_norming_value(partition, norming, j))
-        except ValueError as exc:
-            # only fatal if the walk actually needs this block (below)
-            exhausted = exc
+        vs = [_block_norming_value(partition, norming, j) for j in range(k + 1, k + batch + 1)]
         if refined:
             terms = np.array([tail_from_envelope(env, u * v / w) for v in vs])
         else:
@@ -107,20 +102,16 @@ def _sum_block_tails(
         running = total + np.cumsum(terms)
         for j, term in enumerate(terms):
             if running[j] >= 1.0:
-                return BoundEvaluation(1.0, vacuous=True, terms=k + j + 1)
+                return BoundEvaluation(1.0, d, w, vacuous=True, terms=k + j + 1)
             if term == 0.0:
                 # the h argument grows with k and h is non-increasing, so the tail is zero
-                return BoundEvaluation(float(running[j]), terms=k + j + 1)
+                return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1)
             # no decreasing-term guard: a rising run below this threshold began within ulps of it
             if term < _TRUNCATION_REL * running[j]:
-                return BoundEvaluation(float(running[j]), terms=k + j + 1)
-        k += len(vs)
-        if exhausted is not None:
-            raise ValueError(
-                f"partition exhausted at block {k + 1} before the series truncated"
-            ) from exhausted
+                return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1)
+        k += batch
         total = running[-1]
-    return BoundEvaluation(1.0, vacuous=True, diverged=True, terms=_MAX_TERMS)
+    return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True, terms=_MAX_TERMS)
 
 
 def upper_bound(
@@ -132,30 +123,19 @@ def upper_bound(
 ) -> BoundEvaluation:
     """Block-sum upper bound from any moment envelope (plain, mixed or entropy).
 
-    Requires u >= e and the partition in class Y(w) (a proven violation
-    raises; a finitely-checked inconclusive verdict for explicit partitions
-    is accepted and left to the caller's judgement).  The series truncates
-    when a term falls below 1e-16 of the running sum; if that never happens
-    within 10,000 terms the bound is reported as diverged with value 1.0
-    (still a valid probability bound).
+    Requires u >= e and the partition in class Y(w), i.e. w^2 <= d (a
+    violation raises, naming the first block whose ratio drops below w^2).
+    The series truncates when a term falls below 1e-16 of the running sum;
+    if that never happens within 10,000 terms the bound is reported as
+    diverged with value 1.0 (still a valid probability bound).
     """
     u = _require_u(u)
     verdict = class_Y_check(partition, w)
-    if verdict.status == "violated":
+    if not verdict:
         raise ValueError(
             f"partition is not in class Y(w={w}); ratio drops below w^2 at k={verdict.violated_at}"
         )
     return _sum_block_tails(env, partition, norming, w, u)
-
-
-@dataclass(frozen=True)
-class OptimizedBound:
-    value: float
-    d: int
-    w: float
-    vacuous: bool = False
-    diverged: bool = False
-    terms: int = 0
 
 
 def max_admissible_w(d: int) -> float:
@@ -163,21 +143,19 @@ def max_admissible_w(d: int) -> float:
     return math.sqrt(d) - MAX_ADMISSIBLE_W_EPS
 
 
-def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> OptimizedBound:
+def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> BoundEvaluation:
     """Minimize the bound over the geometric partitions d = 2..16.
 
     Each candidate d uses its maximal admissible w = sqrt(d) - 1e-9 (the bound
     improves with w for fixed partition).  Ties break toward smaller d; if
     every candidate is vacuous the result is 1.0 with the vacuous flag set.
     """
-    best: Optional[OptimizedBound] = None
-    for d in _D_RANGE:
-        w = max_admissible_w(d)
-        ev = _sum_block_tails(env, geometric_partition(d), norming, w, _require_u(u))
-        cand = OptimizedBound(ev.value, d, w, ev.vacuous, ev.diverged, ev.terms)
-        if best is None or cand.value < best.value:
-            best = cand
-    return best
+    u = _require_u(u)
+    evals = [
+        _sum_block_tails(env, geometric_partition(d), norming, max_admissible_w(d), u)
+        for d in _D_RANGE
+    ]
+    return min(evals, key=lambda ev: ev.value)
 
 
 def _require_u(u: float) -> float:
@@ -256,30 +234,26 @@ def evaluate_bound_curve(
 ) -> TailBoundCurve:
     """Evaluate the bound on a u grid, optionally optimizing the partition per u."""
     u_grid = np.asarray(u_grid, dtype=float)
-    n = u_grid.size
-    values = np.empty(n)
-    ds = np.empty(n, dtype=int)
-    ws = np.empty(n)
-    ks = np.empty(n, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    if not optimize:
-        if w is None:
-            w = max_admissible_w(d)
+    if optimize:
+        evals = [optimize_bound(env, norming, float(u)) for u in u_grid]
+    else:
+        w = max_admissible_w(d) if w is None else w
         partition = geometric_partition(d)
-    for i, u in enumerate(u_grid):
-        if optimize:
-            res = optimize_bound(env, norming, float(u))
-        else:
-            ev = upper_bound(env, partition, norming, w, float(u))
-            res = OptimizedBound(ev.value, d, w, ev.vacuous, ev.diverged, ev.terms)
-        values[i], ds[i], ws[i], ks[i] = res.value, res.d, res.w, res.terms
-        flags[i] = res.vacuous or res.diverged
+        evals = [upper_bound(env, partition, norming, w, float(u)) for u in u_grid]
     prov = {
         "optimized": optimize,
         "norming_r": norming.r,
         "envelope": env.label or env.kind,
     }
-    return TailBoundCurve(u_grid, values, prov, ds, ws, ks, flags)
+    return TailBoundCurve(
+        u_grid,
+        np.array([ev.value for ev in evals], dtype=float),
+        prov,
+        np.array([ev.d for ev in evals], dtype=int),
+        np.array([ev.w for ev in evals], dtype=float),
+        np.array([ev.terms for ev in evals], dtype=int),
+        np.array([ev.vacuous or ev.diverged for ev in evals], dtype=bool),
+    )
 
 
 @dataclass(frozen=True)

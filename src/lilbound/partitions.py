@@ -10,7 +10,6 @@ __all__ = [
     "E_E",
     "Partition",
     "geometric_partition",
-    "explicit_partition",
     "YVerdict",
     "class_Y_check",
     "NormingSequence",
@@ -22,42 +21,19 @@ E_E = math.exp(math.e)  # 15.154262241479262, anchor making log log (1 + e^e - 1
 
 @dataclass(frozen=True)
 class Partition:
-    """Block starts A(k): strictly increasing integers with A(1) = 1, A(k+1) >= A(k) + 2.
+    """Geometric block starts A(k) = d**k - d + 1 for integer d >= 2 (so A(1) = 1)."""
 
-    Geometric partitions A(k) = d**k - d + 1 are generated analytically for
-    every k; explicit partitions know only their stored prefix.
-    """
-
-    kind: str  # "geometric" | "explicit"
-    d: Optional[int] = None
-    prefix: tuple[int, ...] = ()
+    d: int
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "explicit"):
-            raise ValueError(f"unknown partition kind {self.kind!r}")
-        if self.kind == "geometric":
-            if self.d is None or self.d < 2:
-                raise ValueError("geometric partition requires integer d >= 2")
-        else:
-            a = tuple(int(x) for x in self.prefix)
-            if not a or a[0] != 1:
-                raise ValueError("partition must start at A(1) = 1")
-            for prev, nxt in zip(a, a[1:]):
-                if nxt < prev + 2:
-                    raise ValueError("partition requires A(k+1) >= A(k) + 2")
-            object.__setattr__(self, "prefix", a)
+        if self.d < 2:
+            raise ValueError("geometric partition requires integer d >= 2")
 
     def A(self, k: int) -> int:
-        """Block start A(k); exact integer arithmetic for the geometric family."""
+        """Block start A(k), in exact integer arithmetic."""
         if k < 1:
             raise ValueError("partition index starts at k = 1")
-        if self.kind == "geometric":
-            return self.d**k - self.d + 1
-        if k > len(self.prefix):
-            raise ValueError(
-                f"explicit partition knows only A(1..{len(self.prefix)}); A({k}) requested"
-            )
-        return self.prefix[k - 1]
+        return self.d**k - self.d + 1
 
     def ratio(self, k: int) -> float:
         """Block-endpoint ratio (A(k+1) - 1) / A(k)."""
@@ -66,56 +42,37 @@ class Partition:
 
 def geometric_partition(d: int) -> Partition:
     """A(k) = d**k - d + 1."""
-    return Partition(kind="geometric", d=int(d))
-
-
-def explicit_partition(A) -> Partition:
-    return Partition(kind="explicit", prefix=tuple(int(x) for x in A))
+    return Partition(d=int(d))
 
 
 @dataclass(frozen=True)
 class YVerdict:
     """Membership verdict for the class Y(w): inf_k (A(k+1)-1)/A(k) >= w^2."""
 
-    status: str  # "member" | "violated" | "inconclusive"
+    status: str  # "member" | "violated"
     violated_at: Optional[int] = None
-    inf_ratio: Optional[float] = None
 
     def __bool__(self) -> bool:
         return self.status == "member"
 
 
-_GEOMETRIC_SCAN_CAP = 1_000_000
-_Y_CHECK_K = 64
-
-
 def class_Y_check(partition: Partition, w: float) -> YVerdict:
     """Check whether the partition belongs to Y(w).
 
-    Geometric partitions admit an analytic verdict: the ratio
-    (d^(k+1) - d)/(d^k - d + 1) decreases to d (it equals 2 identically for
-    d = 2), so the infimum is d and membership is w^2 <= d, non-strict.
-    Explicit partitions are checked for k <= 64 within their prefix and
-    report `inconclusive` when no violation is found, since the infinite tail
-    cannot be certified.
+    The ratio (d^(k+1) - d)/(d^k - d + 1) = d + (d^2 - 2d)/A(k) decreases to
+    d (it equals 2 identically for d = 2), so the infimum is d and membership
+    is w^2 <= d, non-strict.  Otherwise the ratio rounds to d itself within a
+    few dozen blocks, and the first k with ratio(k) < w^2 is reported.
     """
     if not w > 1.0:
         raise ValueError("class Y(w) is used with w > 1")
     w2 = w * w
-    if partition.kind == "geometric":
-        d = float(partition.d)
-        if w2 <= d:
-            return YVerdict("member", inf_ratio=d)
-        k = 1
-        while k <= _GEOMETRIC_SCAN_CAP:
-            if partition.ratio(k) < w2:
-                return YVerdict("violated", violated_at=k, inf_ratio=d)
-            k += 1
-        return YVerdict("violated", violated_at=None, inf_ratio=d)  # w^2 > inf, k beyond cap
-    for k in range(1, min(_Y_CHECK_K, len(partition.prefix) - 1) + 1):
-        if partition.ratio(k) < w2:
-            return YVerdict("violated", violated_at=k)
-    return YVerdict("inconclusive")
+    if w2 <= partition.d:
+        return YVerdict("member")
+    k = 1
+    while partition.ratio(k) >= w2:
+        k += 1
+    return YVerdict("violated", violated_at=k)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ class FieldSpec:
             )
         except KeyError as exc:
             raise ValueError(f"field spec JSON is missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"field spec JSON has a field of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,28 @@ def test_json_input_that_is_not_an_object_is_an_error(tmp_path, capsys, argv):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["norm", "--function", "{}", "--p", "2"], {"axes": "abc", "values": [1.0]}),
+        (["bound", "--envelope", "{}"], {"kind": "grid", "p": [2.0], "L_grid": [2.0, 4.0], "g_values": [1, 1]}),
+        (["entropy", "--covering", "{}", "--p", "2"], {"kind": "analytic", "D": [1.0], "d": 1}),
+        (["simulate", "--spec", "{}"], {"family": "rademacher", "norm": {"kind": "lp", "p": [2.0]}, "spaces": [{"weights": [1.0]}]}),
+    ],
+    ids=["norm", "bound", "entropy", "simulate"],
+)
+def test_json_field_of_the_wrong_type_is_an_error(tmp_path, capsys, argv, doc):
+    path = _write_json(tmp_path / "doc.json", doc)
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "wrong type" in capsys.readouterr().err
+
+
+def test_bound_rejects_an_envelope_with_an_infinite_knot(tmp_path, capsys):
+    doc = {"kind": "grid", "p": 2.0, "L_grid": [2.0, 4.0, math.inf], "g_values": [1, 1, 1]}
+    assert run(["bound", "--envelope", _write_json(tmp_path / "env.json", doc)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err

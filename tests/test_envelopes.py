@@ -143,6 +143,10 @@ def test_envelope_validation_errors():
         MomentEnvelope.from_grid([2.0, 4.0], [1.0, math.inf], 2.0)
     with pytest.raises(ValueError):
         MomentEnvelope.from_grid([1.0, 4.0], [1.0, 1.0], 2.0)  # grid below domain
+    with pytest.raises(ValueError):
+        MomentEnvelope.from_grid([2.0, 4.0, math.inf], [1.0, 1.0, 1.0], 2.0)  # infinite knot
+    with pytest.raises(ValueError):
+        MomentEnvelope.from_grid([2.0, math.nan, 8.0], [1.0, 1.0, 1.0], 2.0)  # NaN knot
 
 
 def test_classify_tail_power_family():

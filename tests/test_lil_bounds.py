@@ -10,7 +10,6 @@ from lilbound import (
     MomentEnvelope,
     NormingSequence,
     evaluate_bound_curve,
-    explicit_partition,
     fit_bound_shape,
     geometric_partition,
     lower_bound_Q,
@@ -104,35 +103,15 @@ def test_bound_decreases_in_u():
     assert 0.0 < informative[-1] < informative[0] < 1.0
 
 
-def test_explicit_partition_exhaustion_is_reported():
-    # Three known blocks truncate nothing at u = 40, so the walk needs A(4).
-    part = explicit_partition([1, 3, 9])
-    with pytest.raises(ValueError, match="exhausted"):
-        upper_bound(_linear_envelope(), part, _norming(1.0), 1.4, 40.0)
-
-
-def _forty_block_partition():
-    # the first 40 blocks of the d = 2 geometric partition, A(k) = 2^k - 1
-    return explicit_partition([2**k - 1 for k in range(1, 41)])
-
-
-def test_exhaustion_past_the_refined_prefix_names_the_missing_block():
-    # At u = 40 the series needs more than 40 blocks, so the walk runs out
-    # inside a batched grid scan, past the refined leading terms.
-    part = _forty_block_partition()
-    with pytest.raises(ValueError, match="exhausted at block 41 "):
-        upper_bound(_linear_envelope(), part, _norming(1.0), max_admissible_w(2), 40.0)
-
-
 @pytest.mark.parametrize("u,terms", [(80.0, 23), (64.0, 35)])
 def test_truncation_inside_a_finite_prefix_matches_geometric(u, terms):
-    # One stop inside the refined leading terms, one inside the batched scans;
-    # the known blocks coincide with d = 2, so the results must too.
+    # Both stops lie within the first 40 blocks of d = 2: one inside the
+    # refined leading terms, one inside the batched scans.
     w = max_admissible_w(2)
-    result = upper_bound(_linear_envelope(), _forty_block_partition(), _norming(1.0), w, u)
+    result = upper_bound(_linear_envelope(), geometric_partition(2), _norming(1.0), w, u)
     assert result.terms == terms
     assert 0.0 < result.value < 1.0
-    assert result == upper_bound(_linear_envelope(), geometric_partition(2), _norming(1.0), w, u)
+    assert (result.d, result.w) == (2, w)
 
 
 def test_deep_blocks_use_stable_norming():

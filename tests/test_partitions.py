@@ -9,7 +9,6 @@ from lilbound import (
     E_E,
     NormingSequence,
     class_Y_check,
-    explicit_partition,
     geometric_partition,
     max_admissible_w,
     norming_value,
@@ -55,37 +54,27 @@ def test_max_admissible_w_squares_below_d():
         assert max_admissible_w(d) ** 2 <= d
 
 
-def test_class_membership_inconclusive_for_explicit_prefix():
-    # Ratios 2.0, 8/3, 26/9 all clear w^2 = 1.96, but the tail is unknown.
-    part = explicit_partition([1, 3, 9, 27])
-    verdict = class_Y_check(part, 1.4)
-    assert verdict.status == "inconclusive"
-
-
 def test_class_membership_violation_located():
-    part = explicit_partition([1, 4, 6])  # ratio at k=2 is (6-1)/4 < 1.5^2
-    verdict = class_Y_check(part, 1.5)
+    # d = 3: ratio(1) = 6 and ratio(2) = 24/7 < 3.5
+    verdict = class_Y_check(geometric_partition(3), math.sqrt(3.5))
     assert verdict.status == "violated"
     assert verdict.violated_at == 2
+
+
+def test_violation_found_for_w_squared_one_step_above_d():
+    # ratio(k) = d + (d^2 - 2d)/A(k) rounds to d itself within a few dozen blocks
+    for d in range(2, 17):
+        w = math.sqrt(np.nextafter(float(d), math.inf))
+        while w * w <= d:
+            w = np.nextafter(w, math.inf)
+        verdict = class_Y_check(geometric_partition(d), float(w))
+        assert verdict.status == "violated"
+        assert 1 <= verdict.violated_at <= 64
 
 
 def test_class_check_requires_w_above_one():
     with pytest.raises(ValueError):
         class_Y_check(geometric_partition(2), 1.0)
-
-
-def test_explicit_partition_validation():
-    with pytest.raises(ValueError):
-        explicit_partition([2, 4])  # must start at 1
-    with pytest.raises(ValueError):
-        explicit_partition([1, 2])  # blocks must grow by at least 2
-
-
-def test_explicit_partition_exhaustion_raises():
-    part = explicit_partition([1, 3, 9])
-    assert part.A(3) == 9
-    with pytest.raises(ValueError):
-        part.A(4)
 
 
 def test_norming_starts_at_one_exactly():
