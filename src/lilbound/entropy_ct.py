@@ -35,7 +35,6 @@ __all__ = [
     "IndexedField",
     "moment_distance_rho",
     "field_W",
-    "J_functional",
     "distance_r",
     "distance_r_matrix",
     "sigma_bar",
@@ -154,29 +153,22 @@ def _pair_weight(p: float, Z: float, alpha: float, beta: float) -> float:
     return rosenthal_upper(alpha * Z) * rosenthal_upper((p - 1.0) * beta * Z) ** (p - 1.0)
 
 
-def J_functional(
-    field: IndexedField, t: int, s: int, p: float, Z: float, alpha: float, beta: float
-) -> float:
-    """J(t,s; p,Z; alpha,beta) = int_X W^(p-1)_{(p-1) beta Z}(x) rho_{alpha Z, x}(t,s) mu(dx)."""
-    W = field_W(field, (p - 1.0) * beta * Z) ** (p - 1.0)
-    rho = moment_distance_rho(field, t, s, alpha * Z)
-    return float((W * rho) @ field.x_space.weights)
-
-
 def distance_r(field: IndexedField, t: int, s: int, p: float, Z: float) -> float:
     """Chaining distance r_{p,Z}(t,s) = 2p inf_{alpha,beta} K_R(alpha Z) K_R^{p-1}((p-1) beta Z) J.
 
-    The infimum runs over conjugate pairs 1/alpha + 1/beta = 1 with alpha
-    from DEFAULT_ALPHAS.
+    J = int_X W^(p-1)_{(p-1) beta Z}(x) rho_{alpha Z, x}(t,s) mu(dx), and the
+    infimum runs over conjugate pairs 1/alpha + 1/beta = 1 with alpha from
+    DEFAULT_ALPHAS.  The per-pair reference for distance_r_matrix.
     """
     if p < 2.0:
         raise ValueError("p must be >= 2")
     if Z < 1.0:
         raise ValueError("Z must be >= 1")
-    best = min(
-        _pair_weight(p, Z, a, b) * J_functional(field, t, s, p, Z, a, b)
-        for a, b in _CONJUGATE_PAIRS
-    )
+    best = math.inf
+    for a, b in _CONJUGATE_PAIRS:
+        W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
+        J = float((W * moment_distance_rho(field, t, s, a * Z)) @ field.x_space.weights)
+        best = min(best, _pair_weight(p, Z, a, b) * J)
     return 2.0 * p * best
 
 
@@ -233,8 +225,8 @@ class AnalyticCovering:
     def __post_init__(self):
         if self.D < 0.0:
             raise ValueError("diameter must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dimension must be a positive integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         if not 0.0 < self.l <= 1.0:
             raise ValueError("Hoelder index l must lie in (0, 1]")
         if self.C_cov <= 0.0:
@@ -326,7 +318,7 @@ def covering_from_json(data: dict):
         if kind == "analytic":
             return AnalyticCovering(
                 D=float(data["D"]),
-                dim=int(data["d"]),
+                dim=data["d"],
                 l=float(data.get("l", 1.0)),
                 C_cov=float(data.get("C_cov", 1.0)),
             )
@@ -484,24 +476,10 @@ def _nu_grid_envelope(
     if np.any(np.isinf(g)):
         bad = Z_grid[np.isinf(g)]
         raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
-    return MomentEnvelope(
-        L_grid=p * Z_grid,
-        g_values=g,
-        domain_low=p * float(Z_grid[0]),
-        kind="grid",
-        p=p,
-        label=label,
-    )
+    return MomentEnvelope(p * Z_grid, g, p * float(Z_grid[0]), label)
 
 
-def nu_envelope(
-    field: IndexedField,
-    p: float,
-    Z_grid,
-    *,
-    theta_grid=None,
-    label: str = "",
-) -> MomentEnvelope:
+def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
     """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound."""
     Z_grid = np.asarray(Z_grid, dtype=float)
     if Z_grid.ndim != 1 or Z_grid.size < 2:
@@ -511,12 +489,10 @@ def nu_envelope(
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):
-        thetas = theta_grid
-        if thetas is None:
-            thetas, rescaled = _default_thetas(sigma_hat(field, p, Z))
-            rescaled_any |= rescaled
+        thetas, rescaled = _default_thetas(sigma_hat(field, p, Z))
+        rescaled_any |= rescaled
         g[i] = nu_p(field, p, Z, theta_grid=thetas)
-    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, label or "chained")
+    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "chained")
 
 
 def holder_example_envelope(
@@ -528,15 +504,12 @@ def holder_example_envelope(
     D: float,
     *,
     Z_grid,
-    C_cov: float = 1.0,
-    theta_grid=None,
-    sigma_coeff: float = 1.0,
 ) -> MomentEnvelope:
     """Envelope for a Hoelder-continuous field on a bounded set in R^dim.
 
     Models rho_{v,x}(t,s) <= B_v(x) ||t-s||^l with the aggregate bound
-    int W^(p-1) B dmu <= C_rho * Z^b and sigma_bar = sigma_coeff * Z^b, valid
-    for Z > 2*dim/l.  The chaining distance is then r <= c_Z ||t-s||^l with
+    int W^(p-1) B dmu <= C_rho * Z^b and sigma_bar = Z^b, valid for
+    Z > 2*dim/l.  The chaining distance is then r <= c_Z ||t-s||^l with
     c_Z = 2p K_R(2Z) K_R^(p-1)(2(p-1)Z) C_rho Z^b (conjugate pair alpha =
     beta = 2), so covering numbers in r_hat reduce to the analytic form with
     an effective diameter D * (c_Z / sigma_hat)^(1/l).
@@ -545,8 +518,8 @@ def holder_example_envelope(
         raise ValueError("Hoelder index l must lie in (0, 1]")
     if b > 1.0:
         raise ValueError("moment growth power b must be <= 1")
-    if D < 0.0 or C_rho <= 0.0 or sigma_coeff <= 0.0:
-        raise ValueError("C_rho and sigma_coeff must be positive, D nonnegative")
+    if D < 0.0 or C_rho <= 0.0:
+        raise ValueError("C_rho must be positive, D nonnegative")
     if p < 2.0:
         raise ValueError("p must be >= 2")
     Z_grid = np.asarray(Z_grid, dtype=float)
@@ -558,13 +531,10 @@ def holder_example_envelope(
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):
-        sig_bar = sigma_coeff * Z**b
-        sig_hat = rosenthal_upper(p * Z) ** p * sig_bar
+        sig_hat = rosenthal_upper(p * Z) ** p * Z**b
         c_Z = 2.0 * p * _pair_weight(p, Z, 2.0, 2.0) * C_rho * Z**b
-        cov = AnalyticCovering(D=D * (c_Z / sig_hat) ** (1.0 / l), dim=dim, l=l, C_cov=C_cov)
-        thetas = theta_grid
-        if thetas is None:
-            thetas, rescaled = _default_thetas(sig_hat)
-            rescaled_any |= rescaled
+        cov = AnalyticCovering(D=D * (c_Z / sig_hat) ** (1.0 / l), dim=dim, l=l)
+        thetas, rescaled = _default_thetas(sig_hat)
+        rescaled_any |= rescaled
         g[i] = nu_p(sig_hat, p, Z, covering=cov, theta_grid=thetas)
     return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "holder-example")

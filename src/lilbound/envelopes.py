@@ -1,7 +1,7 @@
 """Moment envelopes g(L) for normed sums and the moment-to-tail conversion.
 
-An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) on a domain
-(domain_low, L0).  Every field envelope comes from one core, g(L) = 2
+An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) for every
+L >= domain_low.  Every field envelope comes from one core, g(L) = 2
 K_R(L) ||(E|xi(x)|^L)^(1/L)|| with 2 the ceiling of the Doob factor and K_R
 the Rosenthal constant, fed per-point log-moments and a norm over X: lp of
 order L, or mixed with exponents p_vec.  Tails follow by the
@@ -54,7 +54,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(eq=False)
 class MomentEnvelope:
-    """L -> g(L) on (domain_low, L0), with a cached evaluation grid.
+    """L -> g(L) for L >= domain_low, with a cached evaluation grid.
 
     Analytic envelopes carry a callable and use it everywhere; grid-backed
     envelopes interpolate log g linearly in log L between grid points and are
@@ -64,10 +64,6 @@ class MomentEnvelope:
     L_grid: np.ndarray
     g_values: np.ndarray
     domain_low: float
-    L0: float = math.inf
-    kind: str = "analytic"
-    p: Optional[float] = None
-    p_vec: Optional[tuple[float, ...]] = None
     label: str = ""
     _g_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _log_g_grid: np.ndarray = field(init=False, repr=False)
@@ -80,14 +76,13 @@ class MomentEnvelope:
             raise ValueError("L_grid and g_values must be matching 1-d arrays")
         if not np.all(np.isfinite(L)) or np.any(np.diff(L) <= 0.0):
             raise ValueError("evaluation grid must be finite and strictly increasing")
-        if not self.L0 > self.domain_low:
-            raise ValueError("envelope domain requires L0 > domain_low")
-        if L[0] < self.domain_low or L[-1] > self.L0:
-            raise ValueError("evaluation grid must lie inside [domain_low, L0]")
+        if L[0] < self.domain_low:
+            raise ValueError("evaluation grid must start at or above domain_low")
         if np.any(~np.isfinite(g)) or np.any(g < 0.0):
             raise ValueError("g must be finite and nonnegative on the grid")
         self.L_grid = L
         self.g_values = g
+        self.domain_low = float(self.domain_low)
         with np.errstate(divide="ignore"):
             self._log_g_grid = np.log(g)
         self._log_L_grid = np.log(L)
@@ -97,30 +92,17 @@ class MomentEnvelope:
         cls,
         g_fn: Callable[[float], float],
         domain_low: float,
-        L0: float = math.inf,
         L_grid=None,
-        **kwargs,
+        label: str = "",
     ) -> "MomentEnvelope":
         if L_grid is None:
             lo = float(domain_low)
             if lo <= 0.0:
                 raise ValueError("default grids need domain_low > 0")
-            hi = _DEFAULT_GRID_TOP if math.isinf(L0) else lo + (L0 - lo) * (1.0 - 1e-9)
-            L_grid = np.geomspace(lo, hi, _DEFAULT_GRID_POINTS)
+            L_grid = np.geomspace(lo, _DEFAULT_GRID_TOP, _DEFAULT_GRID_POINTS)
         L_grid = np.asarray(L_grid, dtype=float)
         g_values = np.array([float(g_fn(L)) for L in L_grid])
-        return cls(L_grid, g_values, float(domain_low), float(L0), _g_fn=g_fn, **kwargs)
-
-    @classmethod
-    def from_grid(cls, L_grid, g_values, domain_low, L0=math.inf, **kwargs) -> "MomentEnvelope":
-        kwargs.setdefault("kind", "grid")
-        return cls(
-            np.asarray(L_grid, dtype=float),
-            np.asarray(g_values, dtype=float),
-            float(domain_low),
-            float(L0),
-            **kwargs,
-        )
+        return cls(L_grid, g_values, domain_low, label, _g_fn=g_fn)
 
     def g(self, L: float) -> float:
         lg = self.log_g(L)
@@ -138,11 +120,6 @@ class MomentEnvelope:
         if not lo <= L <= hi:
             raise ValueError(f"grid envelope evaluated at L={L} outside its span [{lo}, {hi}]")
         return float(np.interp(math.log(L), self._log_L_grid, self._log_g_grid))
-
-    @property
-    def search_top(self) -> float:
-        """Upper end of the usable L range for the tail optimizer."""
-        return float(self.L_grid[-1])
 
 
 def _field_g(log_moment, axes, p_vec=None) -> Callable[[float], float]:
@@ -200,12 +177,7 @@ def _log_abs_moment(spec: FieldSpec, L: float) -> np.ndarray:
     return out
 
 
-def envelope_for_field_spec(
-    spec: FieldSpec,
-    L_grid=None,
-    *,
-    label: str = "",
-) -> MomentEnvelope:
+def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     """Moment envelope g(L) for a field spec, matching its norm.
 
     lp: g(L) = 2 * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
@@ -228,19 +200,13 @@ def envelope_for_field_spec(
         spec.spaces,
         None if lp else spec.p,
     )
-    return MomentEnvelope.from_callable(
-        g_fn,
-        domain_low=p_low,
-        L_grid=L_grid,
-        label=label or f"{spec.family}-{spec.norm_kind}",
-        **({"p": spec.p} if lp else {"p_vec": spec.p}),
-    )
+    return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}")
 
 
-def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, **kwargs) -> MomentEnvelope:
+def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> MomentEnvelope:
     """Grid envelope from the exact moments of xi on X x Omega (Omega = last axis).
 
-    kwargs go to MomentEnvelope; their p_vec, if any, picks the mixed norm.
+    p_vec None takes the L-norm over one X axis, else the p_vec mixed norm.
     """
     if p_low < 2.0:
         raise ValueError("the bound machinery assumes a largest norm exponent >= 2")
@@ -253,42 +219,24 @@ def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, **kwargs) -> Mo
     with np.errstate(divide="ignore"):
         log_ow = np.log(omega.weights)
         log_abs = np.log(np.abs(xi.values))
-    g = _field_g(
-        lambda L: logsumexp(L * log_abs + log_ow, axis=-1),
-        xi.axes[:-1],
-        kwargs.get("p_vec"),
-    )
+    g = _field_g(lambda L: logsumexp(L * log_abs + log_ow, axis=-1), xi.axes[:-1], p_vec)
     g_values = np.array([g(L) for L in L_grid])
-    return MomentEnvelope(L_grid, g_values, domain_low=p_low, kind="grid", **kwargs)
+    return MomentEnvelope(L_grid, g_values, p_low)
 
 
-def envelope_from_field(
-    xi: GridFunction,
-    p: float,
-    L_grid,
-    *,
-    label: str = "",
-) -> MomentEnvelope:
+def envelope_from_field(xi: GridFunction, p: float, L_grid) -> MomentEnvelope:
     """Envelope for a field sampled on X x Omega (Omega = last axis, probability grid).
 
     g(L) = 2 * K_R(L) * ( integral_X E|xi(x)|^L mu(dx) )^(1/L),
-    with every integral an exact weighted sum.  All moments of a finite field
-    are finite, so L0 = +inf.
+    with every integral an exact weighted sum; a finite field has finite
+    moments of every order.
     """
     if xi.n_factors != 2:
         raise ValueError("envelope_from_field expects a two-factor function on X x Omega")
-    p = float(p)
-    return _grid_field_envelope(xi, p, L_grid, p=p, label=label)
+    return _grid_field_envelope(xi, float(p), L_grid)
 
 
-def envelope_from_moments(
-    moment_fn: Callable[[float], float],
-    p: float,
-    L0: float = math.inf,
-    L_grid=None,
-    *,
-    label: str = "",
-) -> MomentEnvelope:
+def envelope_from_moments(moment_fn: Callable[[float], float], p: float) -> MomentEnvelope:
     """Envelope from an analytic moment function: g(L) = 2 K_R(L) moment_fn(L).
 
     moment_fn(L) plays the role of ( integral_X E|xi(x)|^L mu(dx) )^(1/L) given
@@ -298,18 +246,10 @@ def envelope_from_moments(
     def g_fn(L: float) -> float:
         return 2.0 * rosenthal_upper(L) * float(moment_fn(L))
 
-    return MomentEnvelope.from_callable(
-        g_fn, domain_low=float(p), L0=L0, L_grid=L_grid, kind="analytic", p=float(p), label=label
-    )
+    return MomentEnvelope.from_callable(g_fn, float(p))
 
 
-def mixed_envelope_from_field(
-    xi: GridFunction,
-    p_vec,
-    L_grid,
-    *,
-    label: str = "",
-) -> MomentEnvelope:
+def mixed_envelope_from_field(xi: GridFunction, p_vec, L_grid) -> MomentEnvelope:
     """Mixed-norm envelope: g(L) = 2 K_R(L) * | (E|xi(x)|^L)^(1/L) |_{p_vec}.
 
     xi lives on X_1 x ... x X_l x Omega with Omega the last axis; the moment
@@ -319,7 +259,7 @@ def mixed_envelope_from_field(
     p_vec = tuple(float(q) for q in p_vec)
     if xi.n_factors != len(p_vec) + 1:
         raise ValueError("field must have one more factor (Omega, last axis) than p_vec")
-    return _grid_field_envelope(xi, max(p_vec), L_grid, p_vec=p_vec, label=label)
+    return _grid_field_envelope(xi, max(p_vec), L_grid, p_vec)
 
 
 def _golden_min(f, a: float, b: float):
@@ -445,17 +385,14 @@ def classify_tail(beta1: float, beta2: float = 0.0) -> TailClass:
 
 
 def envelope_to_json(env: MomentEnvelope) -> dict:
-    doc = {
-        "kind": env.kind,
-        "L0": None if math.isinf(env.L0) else env.L0,
+    """JSON form of an envelope; "kind" and "L0" are informational, "p" is domain_low."""
+    return {
+        "kind": "grid" if env._g_fn is None else "analytic",
+        "L0": None,
         "L_grid": env.L_grid.tolist(),
         "g_values": env.g_values.tolist(),
+        "p": env.domain_low,
     }
-    if env.p_vec is not None:
-        doc["p_vec"] = list(env.p_vec)
-    else:
-        doc["p"] = env.domain_low if env.p is None else env.p
-    return doc
 
 
 def envelope_from_json(doc: dict) -> MomentEnvelope:
@@ -463,20 +400,15 @@ def envelope_from_json(doc: dict) -> MomentEnvelope:
 
     Deserialized envelopes are grid-backed (log-linear in log L between grid
     points) regardless of origin; the optimizer then searches the grid span.
+    A legacy "p_vec" stands for its largest exponent.  "L0", if given, must
+    be null or at least the top knot: the bound reads g at every knot.
     """
     try:
-        if "p_vec" in doc:
-            p_vec = tuple(float(q) for q in doc["p_vec"])
-            domain_low = max(p_vec)
-            extra = {"p_vec": p_vec}
-        else:
-            domain_low = float(doc["p"])
-            extra = {"p": domain_low}
-        L0 = math.inf if doc.get("L0") is None else float(doc["L0"])
-        env = MomentEnvelope.from_grid(
-            doc["L_grid"], doc["g_values"], domain_low=domain_low, L0=L0,
-            kind=doc.get("kind", "grid"), **extra,
-        )
+        domain_low = max(float(q) for q in doc["p_vec"]) if "p_vec" in doc else float(doc["p"])
+        env = MomentEnvelope(doc["L_grid"], doc["g_values"], domain_low)
+        L0 = doc.get("L0")
+        if L0 is not None and not float(L0) >= env.L_grid[-1]:
+            raise ValueError(f"envelope JSON L0 = {L0} lies below the top knot {env.L_grid[-1]}")
     except KeyError as exc:
         raise ValueError(f"envelope JSON is missing field {exc}") from exc
     except TypeError as exc:

@@ -173,7 +173,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
 def flatten_product(f: GridFunction) -> GridFunction:
     """Collapse a product grid onto the single product-measure axis.
 
-    The flat ordering matches serialization: innermost axis varies fastest.
+    The flat ordering matches serialization: axis 0 (first, innermost) fastest.
     """
     w = f.axes[0].weights
     for ax in f.axes[1:]:
@@ -226,7 +226,7 @@ def permutation_slack(f: GridFunction, p, r: float) -> float:
 
 
 def grid_function_to_json(f: GridFunction) -> dict:
-    """JSON form: axes as {size, weights}, values flat with the innermost axis fastest."""
+    """JSON form: axes as {size, weights}, values flat with axis 0 (first, innermost) fastest."""
     return {
         "axes": [{"size": ax.size, "weights": ax.weights.tolist()} for ax in f.axes],
         "values": f.values.ravel(order="F").tolist(),

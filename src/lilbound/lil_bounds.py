@@ -243,7 +243,7 @@ def evaluate_bound_curve(
     prov = {
         "optimized": optimize,
         "norming_r": norming.r,
-        "envelope": env.label or env.kind,
+        "envelope": env.label,
     }
     return TailBoundCurve(
         u_grid,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 # perfbench's traced pass wraps rosenthal_upper and mixed_norm by their names in this module
 from .constants import rosenthal_upper  # noqa: F401
@@ -95,10 +95,11 @@ class FieldSpec:
             object.__setattr__(self, "p", p)
         else:
             raise ValueError("norm_kind must be 'lp', 'mixed' or 'cl'")
-        if self.norm_kind != "cl" and self.t_size != 1:
+        t = self.t_size
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise ValueError(f"t_size must be a positive integer, got {t!r}")
+        if self.norm_kind != "cl" and t != 1:
             raise ValueError("t_size is only meaningful for the cl norm")
-        if self.t_size < 1:
-            raise ValueError("t_size must be >= 1")
         if self.family == "uniform" and self.a < 0.0:
             raise ValueError("uniform half-width a must be nonnegative")
         if self.family == "weibull" and self.beta <= 0.0:
@@ -350,16 +351,18 @@ class EmpiricalCurve:
     trials: int
 
 
-def clopper_pearson_upper(k: int, n: int, confidence: float = 0.99) -> float:
-    """Exact binomial upper confidence limit for k successes in n trials."""
+def clopper_pearson_upper(k: int, n: int) -> float:
+    """Exact 99% binomial upper confidence limit for k successes in n trials.
+
+    The 0.99 quantile of Beta(k + 1, n - k); closed form at k = 0.
+    """
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n with n >= 1")
-    alpha = 1.0 - confidence
     if k == n:
         return 1.0
     if k == 0:
-        return 1.0 - alpha ** (1.0 / n)
-    return float(_beta_dist.ppf(confidence, k + 1, n - k))
+        return 1.0 - (1.0 - 0.99) ** (1.0 / n)
+    return float(betaincinv(k + 1, n - k, 0.99))
 
 
 def empirical_Q(ens: TrajectoryEnsemble, u_grid) -> EmpiricalCurve:

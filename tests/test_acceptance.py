@@ -138,7 +138,7 @@ def test_criterion_03_moment_to_tail_conversion():
     for _ in range(20):
         a = rng.uniform(-2.0, 1.0)
         b = rng.uniform(0.3, 1.2)
-        genv = MomentEnvelope.from_grid(L_grid, np.exp(a + b * np.log(L_grid)), 2.0)
+        genv = MomentEnvelope(L_grid, np.exp(a + b * np.log(L_grid)), 2.0)
         zk = float(rng.uniform(10.0, 1e4))
         brute = float(np.exp(np.minimum(scan * (a + b * log_scan - math.log(zk)), 0.0).min()))
         got = tail_from_envelope(genv, zk)

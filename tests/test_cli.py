@@ -14,6 +14,7 @@ from lilbound import (
     GridMeasureSpace,
     MomentEnvelope,
     covering_to_json,
+    envelope_for_field_spec,
     envelope_to_json,
     grid_function_to_json,
     mixed_norm,
@@ -260,6 +261,58 @@ def test_bound_rejects_an_envelope_with_an_infinite_knot(tmp_path, capsys):
     doc = {"kind": "grid", "p": 2.0, "L_grid": [2.0, 4.0, math.inf], "g_values": [1, 1, 1]}
     assert run(["bound", "--envelope", _write_json(tmp_path / "env.json", doc)]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+def _mixed_envelope_doc() -> dict:
+    two = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6])))
+    spec = FieldSpec(family="uniform", spaces=two, norm_kind="mixed", p=(2.0, 3.0))
+    return envelope_to_json(envelope_for_field_spec(spec))
+
+
+def _bound_csv(tmp_path, capsys, name, doc):
+    argv = ["bound", "--envelope", _write_json(tmp_path / name, doc), "--u-grid", "e:40:4", "--d", "3"]
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+def test_bound_reads_a_legacy_p_vec_envelope_as_its_largest_exponent(tmp_path, capsys):
+    doc = _mixed_envelope_doc()
+    assert doc["p"] == 3.0 and "p_vec" not in doc
+    legacy = {k: v for k, v in doc.items() if k != "p"}
+    legacy["p_vec"] = [2.0, 3.0]
+    code_new, csv_new = _bound_csv(tmp_path, capsys, "env.json", doc)
+    code_old, csv_old = _bound_csv(tmp_path, capsys, "legacy.json", legacy)
+    assert code_new == code_old == 0
+    assert csv_new == csv_old
+
+
+@pytest.mark.parametrize("L0,code", [(1e7, 1), (1e8, 0), (math.inf, 0), (None, 0)])
+def test_bound_rejects_a_finite_L0_below_the_top_knot(tmp_path, capsys, L0, code):
+    doc = {"kind": "grid", "L0": L0, "p": 2.0, "L_grid": [2.0, 1e4, 1e8], "g_values": [1.0, 2.0, 3.0]}
+    assert _bound_csv(tmp_path, capsys, "env.json", doc)[0] == code
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["entropy", "--covering", "{}", "--p", "2"], {"kind": "analytic", "D": 1.0, "d": 2.9}),
+        (["entropy", "--covering", "{}", "--p", "2"], {"kind": "analytic", "D": 1.0, "d": "2"}),
+        (["entropy", "--covering", "{}", "--p", "2"], {"kind": "analytic", "D": 1.0, "d": True}),
+        (
+            ["simulate", "--spec", "{}", "--n-max", "8", "--trials", "4"],
+            {"family": "rademacher", "norm": {"kind": "cl", "p": 2.0}, "spaces": [{"weights": [1.0]}], "t_size": 2.5},
+        ),
+        (
+            ["simulate", "--spec", "{}", "--n-max", "8", "--trials", "4"],
+            {"family": "rademacher", "norm": {"kind": "cl", "p": 2.0}, "spaces": [{"weights": [1.0]}], "t_size": True},
+        ),
+    ],
+    ids=["d-float", "d-string", "d-bool", "t_size-float", "t_size-bool"],
+)
+def test_integer_json_field_that_is_not_an_integer_is_an_error(tmp_path, capsys, argv, doc):
+    path = _write_json(tmp_path / "doc.json", doc)
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "integer" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_reported_not_raised(capsys):

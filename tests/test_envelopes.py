@@ -7,14 +7,18 @@ import pytest
 
 from lilbound import (
     mixed_norm,
+    FieldSpec,
     GridFunction,
     GridMeasureSpace,
     MomentEnvelope,
+    NormingSequence,
     classify_tail,
+    envelope_for_field_spec,
     envelope_from_field,
     envelope_from_json,
     envelope_from_moments,
     envelope_to_json,
+    evaluate_bound_curve,
     mixed_envelope_from_field,
     rosenthal_upper,
     tail_argmin,
@@ -63,7 +67,7 @@ def test_grid_envelope_tail_matches_exhaustive_scan():
     for _ in range(5):
         a = rng.uniform(-2.0, 1.0)
         b = rng.uniform(0.3, 1.2)
-        env = MomentEnvelope.from_grid(L_grid, np.exp(a + b * np.log(L_grid)), 2.0)
+        env = MomentEnvelope(L_grid, np.exp(a + b * np.log(L_grid)), 2.0)
         z = float(rng.uniform(10.0, 1e4))
         brute = float(np.exp(np.minimum(scan * (a + b * log_scan - math.log(z)), 0.0).min()))
         assert tail_from_envelope(env, z) == pytest.approx(brute, rel=1e-6)
@@ -129,24 +133,24 @@ def test_envelope_from_moments_wraps_moment_function():
 
 
 def test_grid_envelope_rejects_evaluation_outside_span():
-    env = MomentEnvelope.from_grid([2.0, 4.0], [1.0, 2.0], 2.0)
+    env = MomentEnvelope([2.0, 4.0], [1.0, 2.0], 2.0)
     with pytest.raises(ValueError):
         env.g(8.0)
 
 
 def test_envelope_validation_errors():
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([4.0, 2.0], [1.0, 1.0], 2.0)  # decreasing grid
+        MomentEnvelope([4.0, 2.0], [1.0, 1.0], 2.0)  # decreasing grid
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([2.0, 4.0], [1.0, -1.0], 2.0)  # negative g
+        MomentEnvelope([2.0, 4.0], [1.0, -1.0], 2.0)  # negative g
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([2.0, 4.0], [1.0, math.inf], 2.0)
+        MomentEnvelope([2.0, 4.0], [1.0, math.inf], 2.0)
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([1.0, 4.0], [1.0, 1.0], 2.0)  # grid below domain
+        MomentEnvelope([1.0, 4.0], [1.0, 1.0], 2.0)  # grid below domain
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([2.0, 4.0, math.inf], [1.0, 1.0, 1.0], 2.0)  # infinite knot
+        MomentEnvelope([2.0, 4.0, math.inf], [1.0, 1.0, 1.0], 2.0)  # infinite knot
     with pytest.raises(ValueError):
-        MomentEnvelope.from_grid([2.0, math.nan, 8.0], [1.0, 1.0, 1.0], 2.0)  # NaN knot
+        MomentEnvelope([2.0, math.nan, 8.0], [1.0, 1.0, 1.0], 2.0)  # NaN knot
 
 
 def test_classify_tail_power_family():
@@ -186,16 +190,25 @@ def test_envelope_json_round_trip_preserves_tails():
         )
 
 
+def test_mixed_envelope_json_round_trips_to_equal_bounds():
+    two = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6])))
+    spec = FieldSpec(family="rademacher", spaces=two, norm_kind="mixed", p=(2.0, 3.0))
+    doc = envelope_to_json(envelope_for_field_spec(spec))
+    back = envelope_from_json(doc)
+    assert envelope_to_json(back) == {**doc, "kind": "grid"}
+    u_grid = np.geomspace(math.e, 40.0, 4)
+    first, second = (
+        evaluate_bound_curve(env, NormingSequence.iterated_log(1.0), u_grid, d=3).values
+        for env in (back, envelope_from_json(envelope_to_json(back)))
+    )
+    assert first.tobytes() == second.tobytes()
+
+
 def test_envelope_json_missing_field_raises():
     with pytest.raises(ValueError):
         envelope_from_json({"kind": "grid"})
 
 
-def test_search_top_reports_grid_end():
-    env = _linear_envelope()
-    assert env.search_top == pytest.approx(1e6)
-
-
 def test_vanishing_envelope_gives_zero_tail():
-    env = MomentEnvelope.from_grid([2.0, 4.0, 8.0], [0.0, 0.0, 0.0], 2.0)
+    env = MomentEnvelope([2.0, 4.0, 8.0], [0.0, 0.0, 0.0], 2.0)
     assert tail_from_envelope(env, 5.0) == 0.0

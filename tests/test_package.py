@@ -92,3 +92,16 @@ def test_nu_envelope_goes_through_the_traced_nu_p(monkeypatch):
     Z_grid = [1.0, 1.5, 2.0, 3.0]
     lilbound.nu_envelope(field, 2.0, Z_grid)
     assert calls == Z_grid
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of a second to import; the package needs none of it
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(lilbound.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lilbound; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
