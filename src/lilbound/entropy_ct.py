@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import rosenthal_upper
 from .envelopes import MomentEnvelope
-from .grid_spaces import GridMeasureSpace
+from .grid_spaces import GridMeasureSpace, _json_number
 
 __all__ = [
     "IndexedField",
@@ -317,10 +317,10 @@ def covering_from_json(data: dict):
         kind = data["kind"]
         if kind == "analytic":
             return AnalyticCovering(
-                D=float(data["D"]),
+                D=float(_json_number(data["D"], "D")),
                 dim=data["d"],
-                l=float(data.get("l", 1.0)),
-                C_cov=float(data.get("C_cov", 1.0)),
+                l=float(_json_number(data.get("l", 1.0), "l")),
+                C_cov=float(_json_number(data.get("C_cov", 1.0), "C_cov")),
             )
         if kind == "empirical":
             return EmpiricalCovering(np.asarray(data.get("thresholds", []), dtype=float))

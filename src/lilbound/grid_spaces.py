@@ -11,6 +11,7 @@ genuinely different numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,6 +232,13 @@ def grid_function_to_json(f: GridFunction) -> dict:
         "axes": [{"size": ax.size, "weights": ax.weights.tolist()} for ax in f.axes],
         "values": f.values.ravel(order="F").tolist(),
     }
+
+
+def _json_number(value, name: str):
+    """value if it is a number; a bool or anything else is a TypeError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def grid_function_from_json(doc: dict) -> GridFunction:

@@ -78,13 +78,40 @@ def _block_norming_value(partition: Partition, norming: NormingSequence, k: int)
     return norming(partition.A(k))
 
 
+# (d, r) -> v(A(k)) for k = 1..len, shared by every walk; at most _MAX_TERMS
+# entries each, and at most _MAX_TABLES keys, so scans over r stay bounded.
+# Threads racing on one key can only store a shorter correct prefix.
+_NORMING_TABLES: dict[tuple[int, float], np.ndarray] = {}
+_MAX_TABLES = 64
+_NO_TERMS = np.empty(0)
+
+
+def _block_normings(partition: Partition, norming: NormingSequence, stop: int) -> np.ndarray:
+    """v(A(k)) at index k - 1 for k = 1..stop, grown on demand from _block_norming_value."""
+    key = (partition.d, norming.r)
+    table = _NORMING_TABLES.get(key, _NO_TERMS)
+    if table.size < stop:
+        if table.size == 0 and len(_NORMING_TABLES) >= _MAX_TABLES:
+            _NORMING_TABLES.clear()
+        fresh = [_block_norming_value(partition, norming, k) for k in range(table.size + 1, stop + 1)]
+        table = _NORMING_TABLES[key] = np.concatenate([table, fresh])
+    return table
+
+
 def _sum_block_tails(
     env: MomentEnvelope,
     partition: Partition,
     norming: NormingSequence,
     w: float,
     u: float,
-) -> BoundEvaluation:
+    cutoff: float = 1.0,
+) -> Optional[BoundEvaluation]:
+    """The block series, or None once the running sum reaches a cutoff below 1.
+
+    Every term is >= 0, so the running sum never exceeds the final value: a
+    walk cut off at its cutoff could at most tie it.  With the cutoff at 1
+    the walk is never cut; reaching 1 makes the value vacuous.
+    """
     d = partition.d
     total = 0.0
     log_scale = math.log(u / w)
@@ -94,21 +121,23 @@ def _sum_block_tails(
         # keep full-horizon walks cheap
         refined = k < _REFINED_TERMS
         batch = 1 if refined else min(_BATCH_TERMS, _MAX_TERMS - k)
-        vs = [_block_norming_value(partition, norming, j) for j in range(k + 1, k + batch + 1)]
+        vs = _block_normings(partition, norming, k + batch)[k : k + batch]
         if refined:
-            terms = np.array([tail_from_envelope(env, u * v / w) for v in vs])
+            terms = np.array([tail_from_envelope(env, u * v / w) for v in vs.tolist()])
         else:
             terms = grid_scan_tails(env, log_scale + np.log(vs))
         running = total + np.cumsum(terms)
-        for j, term in enumerate(terms):
-            if running[j] >= 1.0:
-                return BoundEvaluation(1.0, d, w, vacuous=True, terms=k + j + 1)
-            if term == 0.0:
-                # the h argument grows with k and h is non-increasing, so the tail is zero
+        # the h argument grows with k and h is non-increasing, so after a zero
+        # term the tail is zero; no decreasing-term guard on the relative
+        # stop: a rising run below its threshold began within ulps of it
+        stops = np.flatnonzero((running >= cutoff) | (terms == 0.0) | (terms < _TRUNCATION_REL * running))
+        if stops.size:
+            j = int(stops[0])
+            if running[j] < cutoff:
                 return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1)
-            # no decreasing-term guard: a rising run below this threshold began within ulps of it
-            if term < _TRUNCATION_REL * running[j]:
-                return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1)
+            if cutoff < 1.0:
+                return None
+            return BoundEvaluation(1.0, d, w, vacuous=True, terms=k + j + 1)
         k += batch
         total = running[-1]
     return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True, terms=_MAX_TERMS)
@@ -149,13 +178,19 @@ def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> B
     Each candidate d uses its maximal admissible w = sqrt(d) - 1e-9 (the bound
     improves with w for fixed partition).  Ties break toward smaller d; if
     every candidate is vacuous the result is 1.0 with the vacuous flag set.
+    Candidates are walked in order of d, and a walk is cut once its running
+    sum reaches the best value so far: it could then at most tie, and ties go
+    to the smaller d.  The result is the same as walking every candidate to
+    its end.
     """
     u = _require_u(u)
-    evals = [
-        _sum_block_tails(env, geometric_partition(d), norming, max_admissible_w(d), u)
-        for d in _D_RANGE
-    ]
-    return min(evals, key=lambda ev: ev.value)
+    best = None
+    for d in _D_RANGE:
+        cutoff = 1.0 if best is None else best.value
+        ev = _sum_block_tails(env, geometric_partition(d), norming, max_admissible_w(d), u, cutoff)
+        if ev is not None and (best is None or ev.value < best.value):
+            best = ev
+    return best
 
 
 def _require_u(u: float) -> float:

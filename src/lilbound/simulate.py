@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -24,6 +25,7 @@ from scipy.special import betaincinv
 # perfbench's traced pass wraps rosenthal_upper and mixed_norm by their names in this module
 from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
+from .grid_spaces import _json_number
 from .lil_bounds import TailBoundCurve
 from .partitions import NormingSequence
 
@@ -119,8 +121,9 @@ class FieldSpec:
     def x_size_of(spaces) -> int:
         return math.prod(s.size for s in spaces)
 
-    @property
+    @cached_property
     def x_size(self) -> int:
+        # read on every g evaluation of the spec's envelope
         return self.x_size_of(self.spaces)
 
     @property
@@ -156,9 +159,11 @@ class FieldSpec:
                 GridMeasureSpace(np.asarray(s["weights"], dtype=float)) for s in data["spaces"]
             )
             kwargs = {}
-            for key in ("a", "beta", "kappa", "t_size"):
+            for key in ("a", "beta", "kappa"):
                 if key in data:
-                    kwargs[key] = data[key]
+                    kwargs[key] = _json_number(data[key], key)
+            if "t_size" in data:
+                kwargs["t_size"] = data["t_size"]
             if "sigma" in data:
                 sig = np.asarray(data["sigma"], dtype=float)
                 kwargs["sigma"] = float(sig) if sig.ndim == 0 or sig.size == 1 else sig

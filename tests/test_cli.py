@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lilbound
 from lilbound import (
     AnalyticCovering,
     FieldSpec,
@@ -315,6 +319,31 @@ def test_integer_json_field_that_is_not_an_integer_is_an_error(tmp_path, capsys,
     assert "integer" in capsys.readouterr().err
 
 
+_ENTROPY = ["entropy", "--covering", "{}", "--p", "2"]
+_SIMULATE = ["simulate", "--spec", "{}", "--n-max", "8", "--trials", "4"]
+_SCALAR_SPEC = {"norm": {"kind": "lp", "p": 2.0}, "spaces": [{"weights": [1.0]}]}
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (_ENTROPY, {"kind": "analytic", "D": True, "d": 2}),
+        (_ENTROPY, {"kind": "analytic", "D": "1.0", "d": 2}),
+        (_ENTROPY, {"kind": "analytic", "D": 1.0, "d": 2, "l": True}),
+        (_ENTROPY, {"kind": "analytic", "D": 1.0, "d": 2, "C_cov": True}),
+        (_SIMULATE, {"family": "uniform", **_SCALAR_SPEC, "a": True}),
+        (_SIMULATE, {"family": "uniform", **_SCALAR_SPEC, "a": "1.0"}),
+        (_SIMULATE, {"family": "weibull", **_SCALAR_SPEC, "beta": True}),
+        (_SIMULATE, {"family": "rademacher", **_SCALAR_SPEC, "dependence": "martingale", "kappa": False}),
+    ],
+    ids=["D-bool", "D-string", "l-bool", "C_cov-bool", "a-bool", "a-string", "beta-bool", "kappa-bool"],
+)
+def test_float_json_field_that_is_not_a_number_is_an_error(tmp_path, capsys, argv, doc):
+    path = _write_json(tmp_path / "doc.json", doc)
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -330,6 +359,18 @@ def test_malformed_json_is_reported_with_location(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("module", ["lilbound", "lilbound.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lilbound.__file__)))
+    ok = subprocess.run(
+        [sys.executable, "-m", module, "constants", "--p", "4"], env=env, capture_output=True, text=True
+    )
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout.splitlines()[-1])["rosenthal"] == pytest.approx(rosenthal_upper(4.0))
+    bad = subprocess.run([sys.executable, "-m", module, "constants", "--bogus"], env=env, capture_output=True)
+    assert bad.returncode != 0
 
 
 def test_unknown_subcommand_exits_one(capsys):

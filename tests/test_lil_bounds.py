@@ -7,8 +7,13 @@ import pytest
 
 from lilbound import (
     E_E,
+    FieldSpec,
+    GridMeasureSpace,
     MomentEnvelope,
     NormingSequence,
+    envelope_for_field_spec,
+    envelope_from_json,
+    envelope_to_json,
     evaluate_bound_curve,
     fit_bound_shape,
     geometric_partition,
@@ -17,6 +22,7 @@ from lilbound import (
     optimize_bound,
     upper_bound,
 )
+from lilbound import lil_bounds
 from lilbound.lil_bounds import TailBoundCurve
 
 
@@ -126,6 +132,28 @@ def test_deep_blocks_use_stable_norming():
     assert not result.diverged
 
 
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_norming_table_holds_the_scalar_values(monkeypatch, d):
+    # the walk reads v(A(k)) from a shared table grown in steps; every entry
+    # must be the scalar value bit for bit, on both sides of the log-domain switch
+    monkeypatch.setattr(lil_bounds, "_NORMING_TABLES", {})
+    part, v = geometric_partition(d), _norming(0.5)
+    lil_bounds._block_normings(part, v, 40)
+    table = lil_bounds._block_normings(part, v, 800)
+    scalar = [lil_bounds._block_norming_value(part, v, k) for k in range(1, 801)]
+    assert table.size == 800
+    assert [x.hex() for x in table.tolist()] == [x.hex() for x in scalar]
+
+
+def test_norming_tables_stay_bounded(monkeypatch):
+    monkeypatch.setattr(lil_bounds, "_NORMING_TABLES", {})
+    env = _linear_envelope()
+    w = max_admissible_w(2)
+    for i in range(lil_bounds._MAX_TABLES + 8):
+        upper_bound(env, geometric_partition(2), _norming(1.0 + i / 64), w, 80.0)
+    assert 0 < len(lil_bounds._NORMING_TABLES) <= lil_bounds._MAX_TABLES
+
+
 def test_optimize_bound_never_worse_than_fixed_d():
     env = MomentEnvelope.from_callable(
         lambda L: 0.5 * L, domain_low=2.0, L_grid=np.geomspace(2.0, 1e8, 257)
@@ -145,6 +173,85 @@ def test_optimize_bound_breaks_ties_toward_small_d():
     best = optimize_bound(env, _norming(1.0), math.e)
     assert best.vacuous
     assert best.d == 2
+
+
+def _exhaustive_optimum(env, norming, u):
+    # every candidate walked to its end, then the first minimum
+    evals = [
+        upper_bound(env, geometric_partition(d), norming, max_admissible_w(d), u) for d in range(2, 17)
+    ]
+    return min(evals, key=lambda ev: ev.value)
+
+
+_SCALAR = (GridMeasureSpace(np.array([1.0])),)
+_TWO = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6])))
+
+
+def _walk_kind(ev) -> str:
+    if ev.diverged:
+        return "diverged"
+    if ev.vacuous:
+        return "vacuous"
+    return "short" if ev.terms <= lil_bounds._REFINED_TERMS else "batched"
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: envelope_for_field_spec(FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0)),
+        lambda: envelope_for_field_spec(
+            FieldSpec(family="uniform", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0))
+        ),
+        lambda: envelope_from_json(
+            envelope_to_json(envelope_for_field_spec(FieldSpec(family="uniform", spaces=_SCALAR, p=2.0)))
+        ),
+        lambda: MomentEnvelope.from_callable(
+            lambda L: 0.5 * L, domain_low=2.0, L_grid=np.geomspace(2.0, 1e8, 257)
+        ),
+    ],
+    ids=["rademacher-lp", "uniform-mixed", "uniform-lp-grid", "linear-callable"],
+)
+def test_optimize_bound_is_bitwise_the_exhaustive_minimum(make_env):
+    # Cutting losing candidates early must not change a single bit of the
+    # winner: value, d, w, terms and both flags, at every kind of walk.
+    env = make_env()
+    kinds = set()
+    for r in (0.5, 1.0):
+        norming = _norming(r)
+        for u in (math.e, 12.0, 20.0, 60.0):
+            best = optimize_bound(env, norming, u)
+            ref = _exhaustive_optimum(env, norming, u)
+            assert best == ref and best.value.hex() == ref.value.hex()
+            kinds.add(_walk_kind(best))
+    assert kinds == {"vacuous", "diverged", "short", "batched"}
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0])
+def test_optimize_bound_keeps_a_later_winner_bitwise(r):
+    # At u = e, d = 3 beats d = 2, so the winner walks under a cut-off below 1.
+    env = MomentEnvelope.from_callable(lambda L: 0.5 * L, domain_low=2.0, L_grid=np.geomspace(2.0, 1e8, 257))
+    best = optimize_bound(env, _norming(r), math.e)
+    assert best == _exhaustive_optimum(env, _norming(r), math.e)
+    assert best.d == 3 and 0.0 < best.value < 1.0
+
+
+def test_optimize_bound_cuts_losing_walks(monkeypatch):
+    # At rademacher-lp, r = 1, u = 12 the winner is d = 2; every other
+    # candidate must stop once it cannot beat it, not walk to its end.
+    env = envelope_for_field_spec(FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0))
+    calls = [0]
+    tail = lil_bounds.tail_from_envelope
+
+    def counted_tail(env, z):
+        calls[0] += 1
+        return tail(env, z)
+
+    monkeypatch.setattr(lil_bounds, "tail_from_envelope", counted_tail)
+    best = optimize_bound(env, _norming(1.0), 12.0)
+    pruned, calls[0] = calls[0], 0
+    ref = _exhaustive_optimum(env, _norming(1.0), 12.0)
+    assert best == ref and not best.vacuous
+    assert 3 * pruned <= calls[0]
 
 
 def test_curve_evaluation_carries_provenance():
