@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import rosenthal_upper
 from .envelopes import MomentEnvelope
-from .grid_spaces import GridMeasureSpace, _json_number
+from .grid_spaces import GridMeasureSpace, _check_centered, _json_number, _moment_root
 
 __all__ = [
     "IndexedField",
@@ -73,12 +73,11 @@ class IndexedField:
     values: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega_weights, dtype=float)
+        omega = GridMeasureSpace(self.omega_weights)
+        if not omega.is_probability:
+            raise ValueError("omega_weights must sum to 1")
+        w = omega.weights
         vals = np.asarray(self.values, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("omega_weights must be a nonempty 1-d vector")
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("omega_weights must be positive and sum to 1")
         if vals.ndim != 3:
             raise ValueError("values must have shape (nx, nt, n_omega)")
         if vals.shape[0] != self.x_space.size or vals.shape[2] != w.size:
@@ -86,10 +85,7 @@ class IndexedField:
                 f"values shape {vals.shape} does not match |X| = {self.x_space.size}, "
                 f"|Omega| = {w.size}"
             )
-        means = vals @ w
-        tol = 1e-9 * max(1.0, float(np.abs(vals).max(initial=0.0)))
-        if np.any(np.abs(means) > tol):
-            raise ValueError("field is not centered: E xi(x, t, .) != 0 at some (x, t)")
+        _check_centered(vals, w)
         object.__setattr__(self, "omega_weights", w)
         object.__setattr__(self, "values", vals)
 
@@ -106,19 +102,6 @@ class IndexedField:
     def _diff_root(self) -> Callable[[float], np.ndarray]:
         """v -> (E|xi(x,t,.) - xi(x,s,.)|^v)^(1/v), shape (nx, nt, nt); built once per field."""
         return _moment_root(self.values[:, :, None, :] - self.values[:, None, :, :], self.omega_weights)
-
-
-def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
-    """v -> (E|a|^v)^(1/v) over the last axis (weights w), as m (E(|a|/m)^v)^(1/v).
-
-    m is the largest |a| of the row (a row with m = 0 gives 0).  The largest
-    term of each sum is then exactly its weight, so no order v underflows it.
-    The scaling depends on a only and is done once, for every v asked.
-    """
-    a = np.abs(a)
-    m = a.max(axis=-1)
-    ratio = np.divide(a, m[..., None], out=np.zeros_like(a), where=m[..., None] > 0.0)
-    return lambda v: m * (ratio**v @ w) ** (1.0 / v)
 
 
 def moment_distance_rho(field: IndexedField, t: int, s: int, v: float) -> np.ndarray:
@@ -323,7 +306,7 @@ def covering_from_json(data: dict):
                 C_cov=float(_json_number(data.get("C_cov", 1.0), "C_cov")),
             )
         if kind == "empirical":
-            return EmpiricalCovering(np.asarray(data.get("thresholds", []), dtype=float))
+            return EmpiricalCovering(_json_number(data.get("thresholds", []), "thresholds"))
     except KeyError as exc:
         raise ValueError(f"covering JSON is missing field {exc}") from exc
     except TypeError as exc:

@@ -3,7 +3,7 @@
 An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) for every
 L >= domain_low.  Every field envelope comes from one core, g(L) = 2
 K_R(L) ||(E|xi(x)|^L)^(1/L)|| with 2 the ceiling of the Doob factor and K_R
-the Rosenthal constant, fed per-point log-moments and a norm over X: lp of
+the Rosenthal constant, fed per-point moment roots and a norm over X: lp of
 order L, or mixed with exponents p_vec.  Tails follow by the
 Chebyshev-Markov step optimized over the moment order:
 
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constants import rosenthal_upper
-from .grid_spaces import GridFunction, _broadcast_weights, _mixed_norm_array
+from .grid_spaces import GridFunction, _check_centered, _iterated_norm, _json_number, _moment_root
 
 if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annotations only
     from .simulate import FieldSpec
@@ -122,36 +121,21 @@ class MomentEnvelope:
         return float(np.interp(math.log(L), self._log_L_grid, self._log_g_grid))
 
 
-def _field_g(log_moment, axes, p_vec=None) -> Callable[[float], float]:
-    """g(L) = 2 * K_R(L) * || (E|xi(x)|^L)^(1/L) || from log-moments.
+def _field_g(point_roots, axes, p_vec=None) -> Callable[[float], float]:
+    """g(L) = 2 * K_R(L) * || x -> (E|xi(x)|^L)^(1/L) || from the pointwise roots.
 
-    log_moment(L) is log E|xi(x)|^L as an array over the X axes, axis 0
-    innermost.  With p_vec None, X is one axis and the norm is its L-norm,
-    ( integral_X E|xi(x)|^L mu(dx) )^(1/L), taken in log space: |xi|^L
-    overflows directly for |xi| > 1 once L is large, the root never does.
-    Otherwise the norm is the p_vec mixed norm of the pointwise roots, each
-    bounded by max|xi|, so it never overflows either.  The 2 covers the
+    point_roots(L) is an array over the X axes, first (innermost) factor last.
+    With p_vec None, X is one axis and the norm is its L-norm, max-scaled so
+    that no root above 1 raised to a large L overflows; otherwise the p_vec
+    mixed norm, whose entries are bounded by max|xi|.  The 2 covers the
     maximal inequality inside g, so the tail-sum argument stays u*v(A(k))/w.
     """
-    if p_vec is None:
-        (space,) = axes
-        log_w = np.log(space.weights)
-        single = log_w.size == 1
-
-        def root(L: float) -> float:
-            lm = log_moment(L)
-            # the log-sum-exp of a single term is that term, exactly
-            log_mass = lm[0] + log_w[0] if single else logsumexp(lm + log_w)
-            return math.exp(log_mass / L)
-
-    else:
-        weights = _broadcast_weights(axes)
-
-        def root(L: float) -> float:
-            return _mixed_norm_array(np.exp(log_moment(L) / L), weights, p_vec)
+    weights = [ax.weights for ax in axes]
 
     def g(L: float) -> float:
-        return 2.0 * rosenthal_upper(L) * root(L)
+        roots = point_roots(L)
+        norm = _moment_root(roots, weights[0])(L) if p_vec is None else _iterated_norm(roots, weights, p_vec)
+        return 2.0 * rosenthal_upper(L) * norm
 
     return g
 
@@ -182,7 +166,8 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
 
     lp: g(L) = 2 * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
     mixed: the integral is replaced by the mixed norm of x -> (E|xi(x)|^L)^(1/L).
-    Both feed the closed-form moments to the field core, _field_g.  The
+    Both start from closed-form moments; a one-point lp space takes its
+    root as one scalar, every other space goes through _field_g.  The
     martingale mode only inflates moments by its amplitude cap (1 + kappa);
     the Rosenthal constant used is the independent-summand one, so treat
     martingale envelopes as exploratory.  cl norms need the chaining
@@ -194,12 +179,20 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     p_low = spec.p if lp else max(spec.p)
     if p_low < 2.0:
         raise ValueError("envelopes need every norm exponent >= 2")
-    shape = tuple(sp.size for sp in spec.spaces)
-    g_fn = _field_g(
-        lambda L: _log_abs_moment(spec, L).reshape(shape, order="F"),
-        spec.spaces,
-        None if lp else spec.p,
-    )
+    if lp and spec.x_size == 1:
+        # one point: its L-norm is one scalar in log space, with no array work per L
+        log_w = np.log(spec.spaces[0].weights)[0]
+
+        def g_fn(L: float) -> float:
+            return 2.0 * rosenthal_upper(L) * math.exp((_log_abs_moment(spec, L)[0] + log_w) / L)
+
+    else:
+        shape = tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
+        g_fn = _field_g(
+            lambda L: np.exp(_log_abs_moment(spec, L).reshape(shape) / L),
+            spec.spaces,
+            None if lp else spec.p,
+        )
     return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}")
 
 
@@ -216,10 +209,11 @@ def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> 
     omega = xi.axes[-1]
     if not omega.is_probability:
         raise ValueError("Omega factor must be a probability grid")
-    with np.errstate(divide="ignore"):
-        log_ow = np.log(omega.weights)
-        log_abs = np.log(np.abs(xi.values))
-    g = _field_g(lambda L: logsumexp(L * log_abs + log_ow, axis=-1), xi.axes[:-1], p_vec)
+    _check_centered(xi.values, omega.weights)
+    n_x = xi.n_factors - 1
+    # Omega stays last, the X axes are reversed ahead of it: first factor last
+    values = np.transpose(xi.values, tuple(range(n_x - 1, -1, -1)) + (n_x,))
+    g = _field_g(_moment_root(values, omega.weights), xi.axes[:-1], p_vec)
     g_values = np.array([g(L) for L in L_grid])
     return MomentEnvelope(L_grid, g_values, p_low)
 
@@ -404,10 +398,15 @@ def envelope_from_json(doc: dict) -> MomentEnvelope:
     be null or at least the top knot: the bound reads g at every knot.
     """
     try:
-        domain_low = max(float(q) for q in doc["p_vec"]) if "p_vec" in doc else float(doc["p"])
-        env = MomentEnvelope(doc["L_grid"], doc["g_values"], domain_low)
+        if "p_vec" in doc:
+            domain_low = max(float(q) for q in _json_number(doc["p_vec"], "p_vec"))
+        else:
+            domain_low = float(_json_number(doc["p"], "p"))
+        env = MomentEnvelope(
+            _json_number(doc["L_grid"], "L_grid"), _json_number(doc["g_values"], "g_values"), domain_low
+        )
         L0 = doc.get("L0")
-        if L0 is not None and not float(L0) >= env.L_grid[-1]:
+        if L0 is not None and not float(_json_number(L0, "L0")) >= env.L_grid[-1]:
             raise ValueError(f"envelope JSON L0 = {L0} lies below the top knot {env.L_grid[-1]}")
     except KeyError as exc:
         raise ValueError(f"envelope JSON is missing field {exc}") from exc

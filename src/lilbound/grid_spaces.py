@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "GridMeasureSpace",
     "GridFunction",
-    "ExponentVector",
     "lp_norm",
     "mixed_norm",
     "minkowski_slack",
@@ -102,37 +101,51 @@ class GridFunction:
         )
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Exponent per product factor; p_bar is the largest component."""
-
-    components: tuple[float, ...]
-
-    def __post_init__(self):
-        comps = tuple(float(p) for p in self.components)
-        if not comps:
-            raise ValueError("exponent vector must be non-empty")
-        if any((not math.isfinite(p)) or p < 1.0 for p in comps):
-            raise ValueError("all exponents must be finite and >= 1")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def p_bar(self) -> float:
-        return max(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+def _exponents(p) -> tuple:
+    """p (a number or a sequence) as a tuple of exponents, each finite and >= 1."""
+    exps = (float(p),) if isinstance(p, numbers.Real) else tuple(float(q) for q in p)
+    if not exps or any((not math.isfinite(q)) or q < 1.0 for q in exps):
+        raise ValueError(f"exponents must be a non-empty list of finite values >= 1, got {p!r}")
+    return exps
 
 
-def _as_exponents(p) -> ExponentVector:
-    if isinstance(p, ExponentVector):
-        return p
-    if isinstance(p, (int, float)):
-        return ExponentVector((float(p),))
-    return ExponentVector(tuple(float(q) for q in p))
+def _lq_norm(x: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
+    """L^q(w) norm over the last axis of a nonnegative array.
+
+    A one-point axis needs no power or root: (x^q w)^(1/q) = x w^(1/q).
+    """
+    if w.size == 1:
+        return x[..., 0] * w[0] ** (1.0 / q)
+    powered = x * x if q == 2.0 else x**q
+    return (powered @ w) ** (1.0 / q)
+
+
+def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
+    """Iterated norm of |x| over its trailing axes, unchecked.
+
+    Factor k (weights[k], exps[k]) sits on axis -1-k, so factor 0, the
+    innermost, is the last axis and is reduced first; leading axes are kept.
+    |x| is taken here so that it is freed after the first reduction: the
+    simulation's arrays are the size of a whole chunk of trajectories.
+    """
+    x = np.abs(x)
+    for w, q in zip(weights, exps):
+        x = _lq_norm(x, w, q)
+    return x
+
+
+def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
+    """v -> (E|a|^v)^(1/v) over the last axis (weights w), as m (E(|a|/m)^v)^(1/v).
+
+    m is the largest |a| of the row (a row with m = 0 gives 0).  The largest
+    term of each sum is then exactly its weight, so no order v underflows it
+    and none overflows.  The scaling depends on a only and is done once, for
+    every v asked.
+    """
+    a = np.abs(a)
+    m = a.max(axis=-1)
+    ratio = np.divide(a, m[..., None], out=np.zeros_like(a), where=m[..., None] > 0.0)
+    return lambda v: m * _lq_norm(ratio, w, v)
 
 
 def mixed_norm(f: GridFunction, p) -> float:
@@ -140,34 +153,20 @@ def mixed_norm(f: GridFunction, p) -> float:
 
     For a two-factor f this is ( sum_x2 w2 ( sum_x1 w1 |f|^p1 )^(p2/p1) )^(1/p2).
     """
-    exps = _as_exponents(p)
+    exps = _exponents(p)
     if len(exps) != f.n_factors:
         raise ValueError(
             f"exponent vector has {len(exps)} components, function has {f.n_factors} factors"
         )
-    return _mixed_norm_array(np.abs(f.values), _broadcast_weights(f.axes), exps)
-
-
-def _broadcast_weights(axes) -> tuple:
-    """Axis weights shaped to broadcast along axis 0 at each step of _mixed_norm_array."""
-    n = len(axes)
-    return tuple(ax.weights.reshape((-1,) + (1,) * (n - 1 - k)) for k, ax in enumerate(axes))
-
-
-def _mixed_norm_array(values: np.ndarray, weights, exps) -> float:
-    """Iterated norm of nonnegative values, innermost (axis 0) first, unchecked."""
-    out = values
-    for w, q in zip(weights, exps):
-        out = (w * out**q).sum(axis=0) ** (1.0 / q)
-    return float(out)
+    # a leading axis of one keeps every step an array operation, as in the
+    # batched callers: numpy's scalar power rounds differently from its array one
+    return float(_iterated_norm(f.values.T[None], [ax.weights for ax in f.axes], exps)[0])
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Plain weighted p-norm ( sum_i w_i |f_i|^p )^(1/p) on a single-factor grid."""
     if f.n_factors != 1:
         raise ValueError("lp_norm requires a single-factor space; use mixed_norm or flatten_product")
-    if p < 1.0:
-        raise ValueError("exponent must be >= 1")
     return mixed_norm(f, (p,))
 
 
@@ -185,11 +184,22 @@ def flatten_product(f: GridFunction) -> GridFunction:
 
 
 def _check_probability_axis(space: GridMeasureSpace, uniform: bool) -> None:
-    w = space.weights
-    if abs(w.sum() - 1.0) > 1e-9:
+    if not space.is_probability:
         raise ValueError("second factor must carry probability weights summing to 1")
+    w = space.weights
     if uniform and np.any(np.abs(w - 1.0 / w.size) > 1e-12):
         raise ValueError("second factor must be a uniform probability grid")
+
+
+def _check_centered(values: np.ndarray, w: np.ndarray) -> None:
+    """ValueError unless every row of values (last axis, probability weights w) has mean 0.
+
+    The Rosenthal step inside every envelope needs centered summands; the
+    tolerance 1e-9 max(1, max|values|) absorbs the roundoff of the mean.
+    """
+    tol = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+    if np.any(np.abs(values @ w) > tol):
+        raise ValueError("field is not centered: its mean over Omega is nonzero at some point")
 
 
 def minkowski_slack(f: GridFunction, p: float, m: float) -> float:
@@ -215,14 +225,14 @@ def permutation_slack(f: GridFunction, p, r: float) -> float:
     f lives on X_1 x ... x X_l x Z with Z the last axis; returns
     |f|_{r,Z;p,X} - |f|_{p,X;r,Z}, nonnegative (up to roundoff) when r >= max(p).
     """
-    exps = _as_exponents(p)
+    exps = _exponents(p)
     if f.n_factors != len(exps) + 1:
         raise ValueError("function must have one more factor (Z, last axis) than the exponent vector")
-    if r < exps.p_bar:
+    if r < max(exps):
         raise ValueError("permutation inequality requires r >= max exponent")
     z_axis = f.n_factors - 1
-    small = mixed_norm(f, tuple(exps) + (r,))
-    big = mixed_norm(f.reorder((z_axis,) + tuple(range(z_axis))), (r,) + tuple(exps))
+    small = mixed_norm(f, exps + (r,))
+    big = mixed_norm(f.reorder((z_axis,) + tuple(range(z_axis))), (r,) + exps)
     return big - small
 
 
@@ -235,7 +245,12 @@ def grid_function_to_json(f: GridFunction) -> dict:
 
 
 def _json_number(value, name: str):
-    """value if it is a number; a bool or anything else is a TypeError naming the field."""
+    """value if it is a number, or a list of numbers if it is a list.
+
+    A bool, a string or anything else is a TypeError naming the field.
+    """
+    if isinstance(value, list):
+        return [_json_number(v, name) for v in value]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return value
@@ -243,12 +258,15 @@ def _json_number(value, name: str):
 
 def grid_function_from_json(doc: dict) -> GridFunction:
     try:
-        axes = tuple(GridMeasureSpace(np.asarray(a["weights"], dtype=float)) for a in doc["axes"])
+        axes = tuple(GridMeasureSpace(_json_number(a["weights"], "weights")) for a in doc["axes"])
         for a, ax in zip(doc["axes"], axes):
-            if int(a["size"]) != ax.size:
+            size = a["size"]
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise TypeError(f"size must be an integer, got {size!r}")
+            if size != ax.size:
                 raise ValueError("axis size does not match its weights length")
         shape = tuple(ax.size for ax in axes)
-        values = np.asarray(doc["values"], dtype=float).reshape(shape, order="F")
+        values = np.asarray(_json_number(doc["values"], "values"), dtype=float).reshape(shape, order="F")
     except KeyError as exc:
         raise ValueError(f"grid function JSON is missing field {exc}") from exc
     except TypeError as exc:

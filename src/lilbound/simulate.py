@@ -25,7 +25,7 @@ from scipy.special import betaincinv
 # perfbench's traced pass wraps rosenthal_upper and mixed_norm by their names in this module
 from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
-from .grid_spaces import _json_number
+from .grid_spaces import _exponents, _iterated_norm, _json_number
 from .lil_bounds import TailBoundCurve
 from .partitions import NormingSequence
 
@@ -84,16 +84,12 @@ class FieldSpec:
         if self.norm_kind == "lp" or self.norm_kind == "cl":
             if len(spaces) != 1:
                 raise ValueError(f"{self.norm_kind} norm takes exactly one space factor")
-            p = float(self.p)
-            if p < 1.0:
-                raise ValueError("norm exponent p must be >= 1")
+            (p,) = _exponents(float(self.p))
             object.__setattr__(self, "p", p)
         elif self.norm_kind == "mixed":
-            p = tuple(float(q) for q in np.atleast_1d(self.p))
+            p = _exponents(np.atleast_1d(self.p))
             if len(p) != len(spaces):
                 raise ValueError("mixed norm needs one exponent per space factor")
-            if any(q < 1.0 for q in p):
-                raise ValueError("norm exponents must be >= 1")
             object.__setattr__(self, "p", p)
         else:
             raise ValueError("norm_kind must be 'lp', 'mixed' or 'cl'")
@@ -154,10 +150,8 @@ class FieldSpec:
         try:
             norm = data["norm"]
             kind = norm["kind"]
-            p = norm["p"]
-            spaces = tuple(
-                GridMeasureSpace(np.asarray(s["weights"], dtype=float)) for s in data["spaces"]
-            )
+            p = _json_number(norm["p"], "p")
+            spaces = tuple(GridMeasureSpace(_json_number(s["weights"], "weights")) for s in data["spaces"])
             kwargs = {}
             for key in ("a", "beta", "kappa"):
                 if key in data:
@@ -165,7 +159,7 @@ class FieldSpec:
             if "t_size" in data:
                 kwargs["t_size"] = data["t_size"]
             if "sigma" in data:
-                sig = np.asarray(data["sigma"], dtype=float)
+                sig = np.asarray(_json_number(data["sigma"], "sigma"), dtype=float)
                 kwargs["sigma"] = float(sig) if sig.ndim == 0 or sig.size == 1 else sig
             return cls(
                 family=data["family"],
@@ -249,28 +243,14 @@ def _fill_steps(spec: FieldSpec, rng: np.random.Generator, out: np.ndarray) -> N
         out *= signs
 
 
-def _factor_norm(x: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
-    """L^q(weights) norm over the last axis of a nonnegative array.
-
-    A one-point factor needs no power or root: (x^q w)^(1/q) = x w^(1/q).
-    """
-    if weights.size == 1:
-        return x[..., 0] * weights[0] ** (1.0 / q)
-    powered = x * x if q == 2.0 else x**q
-    return (powered @ weights) ** (1.0 / q)
-
-
 def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
     """||S(n)|| for a (trials, n, dim) stack of partial sums -> (trials, n)."""
     if spec.norm_kind == "cl":
         shaped = S.reshape(S.shape[0], S.shape[1], spec.t_size, spec.spaces[0].size)
-        return _factor_norm(np.abs(shaped), spec.spaces[0].weights, spec.p).max(axis=2)
+        return _iterated_norm(shaped, [spec.spaces[0].weights], (spec.p,)).max(axis=2)
     exponents = spec.p if spec.norm_kind == "mixed" else (spec.p,)
-    sizes = [sp.size for sp in spec.spaces]
-    arr = np.abs(S.reshape(S.shape[0], S.shape[1], *reversed(sizes)))
-    for sp, q in zip(spec.spaces, exponents):
-        arr = _factor_norm(arr, sp.weights, q)
-    return arr
+    shaped = S.reshape(S.shape[0], S.shape[1], *reversed([sp.size for sp in spec.spaces]))
+    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], exponents)
 
 
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.special import logsumexp
 
 import lilbound
@@ -229,6 +230,7 @@ def test_criterion_05_exact_finite_horizon_dominance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_monte_carlo_dominance():
     u_grid = np.geomspace(math.e, 12.0, 25)
     seed = 20260814

@@ -310,8 +310,12 @@ def test_bound_rejects_a_finite_L0_below_the_top_knot(tmp_path, capsys, L0, code
             ["simulate", "--spec", "{}", "--n-max", "8", "--trials", "4"],
             {"family": "rademacher", "norm": {"kind": "cl", "p": 2.0}, "spaces": [{"weights": [1.0]}], "t_size": True},
         ),
+        (
+            ["norm", "--function", "{}", "--p", "2"],
+            {"axes": [{"size": 2.7, "weights": [0.5, 0.5]}], "values": [1.0, -1.0]},
+        ),
     ],
-    ids=["d-float", "d-string", "d-bool", "t_size-float", "t_size-bool"],
+    ids=["d-float", "d-string", "d-bool", "t_size-float", "t_size-bool", "size-float"],
 )
 def test_integer_json_field_that_is_not_an_integer_is_an_error(tmp_path, capsys, argv, doc):
     path = _write_json(tmp_path / "doc.json", doc)
@@ -322,6 +326,9 @@ def test_integer_json_field_that_is_not_an_integer_is_an_error(tmp_path, capsys,
 _ENTROPY = ["entropy", "--covering", "{}", "--p", "2"]
 _SIMULATE = ["simulate", "--spec", "{}", "--n-max", "8", "--trials", "4"]
 _SCALAR_SPEC = {"norm": {"kind": "lp", "p": 2.0}, "spaces": [{"weights": [1.0]}]}
+_BOUND = ["bound", "--envelope", "{}", "--u-grid", "e:12:3", "--d", "3"]
+_ENVELOPE = {"kind": "grid", "p": 2.0, "L_grid": [2.0, 4.0], "g_values": [1.0, 2.0]}
+_NORM = ["norm", "--function", "{}", "--p", "2"]
 
 
 @pytest.mark.parametrize(
@@ -335,8 +342,21 @@ _SCALAR_SPEC = {"norm": {"kind": "lp", "p": 2.0}, "spaces": [{"weights": [1.0]}]
         (_SIMULATE, {"family": "uniform", **_SCALAR_SPEC, "a": "1.0"}),
         (_SIMULATE, {"family": "weibull", **_SCALAR_SPEC, "beta": True}),
         (_SIMULATE, {"family": "rademacher", **_SCALAR_SPEC, "dependence": "martingale", "kappa": False}),
+        (_SIMULATE, {"family": "rademacher", **_SCALAR_SPEC, "norm": {"kind": "lp", "p": True}}),
+        (_SIMULATE, {"family": "rademacher", **_SCALAR_SPEC, "norm": {"kind": "lp", "p": "3"}}),
+        (_SIMULATE, {"family": "gaussian", **_SCALAR_SPEC, "sigma": True}),
+        (_SIMULATE, {"family": "rademacher", **_SCALAR_SPEC, "spaces": [{"weights": ["0.5", True]}]}),
+        (_BOUND, {**_ENVELOPE, "p": True}),
+        (_BOUND, {**_ENVELOPE, "L_grid": ["2", 4]}),
+        (_BOUND, {**_ENVELOPE, "g_values": [True, 2]}),
+        (_ENTROPY, {"kind": "empirical", "thresholds": [True, "0.5"]}),
+        (_NORM, {"axes": [{"size": 2, "weights": [0.5, 0.5]}], "values": ["1", True]}),
     ],
-    ids=["D-bool", "D-string", "l-bool", "C_cov-bool", "a-bool", "a-string", "beta-bool", "kappa-bool"],
+    ids=[
+        "D-bool", "D-string", "l-bool", "C_cov-bool", "a-bool", "a-string", "beta-bool", "kappa-bool",
+        "p-bool", "p-string", "sigma-bool", "weights-string-bool", "envelope-p-bool", "L_grid-string",
+        "g_values-bool", "thresholds-bool-string", "values-string-bool",
+    ],
 )
 def test_float_json_field_that_is_not_a_number_is_an_error(tmp_path, capsys, argv, doc):
     path = _write_json(tmp_path / "doc.json", doc)

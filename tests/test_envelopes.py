@@ -126,6 +126,38 @@ def test_mixed_envelope_dominates_pointwise_root_norm():
     assert env.g(L) == pytest.approx(2.0 * rosenthal_upper(L) * expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("build", [envelope_from_field, mixed_envelope_from_field], ids=["lp", "mixed"])
+def test_field_envelopes_reject_an_uncentered_field(build):
+    # the Rosenthal step inside g needs centered summands, as IndexedField does
+    x = GridMeasureSpace(np.array([1.0]))
+    omega = GridMeasureSpace(np.array([0.5, 0.5]))
+    xi = GridFunction((x, omega), np.array([[1.0, 1.0]]))
+    p = 2.0 if build is envelope_from_field else (2.0,)
+    with pytest.raises(ValueError, match="not centered"):
+        build(xi, p, np.geomspace(2.0, 1e4, 9))
+
+
+def test_two_point_gaussian_envelope_matches_log_space_closed_form():
+    # amplitudes on both sides of 1: sigma 0.5 underflows and sigma 3 overflows
+    # a direct moment sum at large L, the max-scaled norm must do neither
+    sigma, weights = (0.5, 3.0), (0.3, 0.7)
+    spec = FieldSpec(
+        family="gaussian", spaces=(GridMeasureSpace(np.array(weights)),), sigma=np.array(sigma), p=2.0
+    )
+    env = envelope_for_field_spec(spec)
+    for L in (2.0, 1e3, 1e8):
+        log_terms = [
+            math.log(w) + L * math.log(s) + 0.5 * L * math.log(2.0)
+            + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+            for s, w in zip(sigma, weights)
+        ]
+        top = max(log_terms)
+        log_mass = top + math.log(sum(math.exp(t - top) for t in log_terms))
+        expected = 2.0 * rosenthal_upper(L) * math.exp(log_mass / L)
+        assert math.isfinite(env.g(L))
+        assert env.g(L) == pytest.approx(expected, rel=1e-12)
+
+
 def test_envelope_from_moments_wraps_moment_function():
     env = envelope_from_moments(lambda L: L**0.5, 2.0)
     for L in (2.0, 16.0, 400.0):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lilbound import (
-    ExponentVector,
     GridFunction,
     GridMeasureSpace,
     flatten_product,
@@ -132,15 +131,20 @@ def test_permutation_slack_rejects_dominated_exponent():
     f = _random_function(rng, [2, 3])
     with pytest.raises(ValueError):
         permutation_slack(f, (3.0,), 2.0)
-
-
-def test_exponent_vector_rejects_values_below_one():
+    # r must reach the largest exponent, wherever it sits
+    g = _random_function(rng, [2, 2, 2, 3])
     with pytest.raises(ValueError):
-        ExponentVector((0.5, 2.0))
+        permutation_slack(g, (1.5, 4.0, 2.0), 3.5)
+    assert permutation_slack(g, (1.5, 4.0, 2.0), 4.0) >= SLACK_FLOOR
 
 
-def test_exponent_vector_p_bar_is_max():
-    assert ExponentVector((1.5, 4.0, 2.0)).p_bar == 4.0
+@pytest.mark.parametrize(
+    "p", [(0.5, 2.0), (2.0, math.inf), (math.nan, 2.0), ()], ids=["below-one", "inf", "nan", "empty"]
+)
+def test_mixed_norm_rejects_exponents_below_one_or_not_finite(p):
+    f = _random_function(np.random.default_rng(20260808), [2, 3])
+    with pytest.raises(ValueError):
+        mixed_norm(f, p)
 
 
 def test_grid_function_shape_mismatch_raises():

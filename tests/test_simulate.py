@@ -10,6 +10,7 @@ from scipy.stats import beta as beta_dist
 from lilbound import (
     E_E,
     FieldSpec,
+    GridFunction,
     GridMeasureSpace,
     TrajectoryEnsemble,
     clopper_pearson_upper,
@@ -17,11 +18,13 @@ from lilbound import (
     empirical_Q,
     envelope_for_field_spec,
     horizon_growth,
+    mixed_norm,
     resolve_threads,
     rosenthal_upper,
     simulate_many,
 )
 from lilbound.lil_bounds import TailBoundCurve
+from lilbound.simulate import _norm_trajectory
 
 
 def _scalar_spec(family="rademacher", **kwargs) -> FieldSpec:
@@ -108,6 +111,43 @@ def test_one_point_factor_norms_match_hand_rolled_walk():
             steps = rng.integers(0, 2, size=(n_max, spec.draw_dim)).astype(np.float64) * 2.0 - 1.0
             walk = norm_of(np.cumsum(steps, axis=0))
             assert ens.sup_values[trial] == pytest.approx(float((walk / div).max()), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FieldSpec(family="rademacher", spaces=(GridMeasureSpace(np.array([0.2, 0.3, 0.5])),), p=3.0),
+        FieldSpec(
+            family="rademacher",
+            spaces=(GridMeasureSpace(np.array([0.2, 0.3, 0.5])), GridMeasureSpace(np.array([0.4, 0.6]))),
+            norm_kind="mixed",
+            p=(2.0, 3.0),
+        ),
+        FieldSpec(
+            family="rademacher",
+            spaces=(GridMeasureSpace(np.array([0.3, 0.7])),),
+            norm_kind="cl",
+            p=2.5,
+            t_size=3,
+        ),
+    ],
+    ids=["lp", "mixed", "cl"],
+)
+def test_trajectory_norms_are_mixed_norm(spec):
+    # One kernel: the simulated norm of a row is the library's mixed_norm, bit
+    # for bit.  A BLAS matrix-vector product may round a row differently when
+    # it shares the call with other rows (as the cl norm's t slots do), so
+    # those agree to roundoff.
+    S = np.cumsum(np.random.default_rng(20261018).normal(size=(50, spec.draw_dim)), axis=0)
+    sizes = tuple(sp.size for sp in spec.spaces)
+    exps = spec.p if spec.norm_kind == "mixed" else (spec.p,)
+    expected = []
+    for row in S:
+        slots = [GridFunction(spec.spaces, x.reshape(sizes, order="F")) for x in row.reshape(spec.t_size, -1)]
+        expected.append(max(mixed_norm(f, exps) for f in slots))
+        if spec.t_size == 1:
+            assert _norm_trajectory(spec, row[None, None])[0, 0] == expected[-1]
+    assert np.allclose(_norm_trajectory(spec, S[None])[0], expected, rtol=1e-15, atol=0.0)
 
 
 def test_martingale_steps_are_conditionally_centered():
@@ -300,6 +340,18 @@ def test_field_spec_validation():
         FieldSpec(family="rademacher", spaces=x, dependence="arma")
     with pytest.raises(ValueError):
         FieldSpec(family="rademacher", spaces=x, t_size=3)  # t_size needs cl
+
+
+@pytest.mark.parametrize(
+    "norm_kind,p",
+    [("lp", math.nan), ("cl", math.inf), ("mixed", (2.0, math.nan))],
+    ids=["lp-nan", "cl-inf", "mixed-nan"],
+)
+def test_field_spec_rejects_non_finite_exponents(norm_kind, p):
+    # a NaN exponent used to pass the p >= 1 check and simulate NaN sups
+    spaces = (GridMeasureSpace(np.array([0.5, 0.5])),) * (2 if norm_kind == "mixed" else 1)
+    with pytest.raises(ValueError):
+        FieldSpec(family="uniform", spaces=spaces, norm_kind=norm_kind, p=p)
 
 
 def test_simulate_validates_norming_power():
