@@ -8,6 +8,13 @@ and checks dominance against computed bound curves.
 Reproducibility contract: each trial owns a counter-based substream keyed by
 (seed, trial index) with a fixed in-trial draw order, so results are
 bit-identical for any worker count and any chunking of the trial range.
+
+iid trials run in chunks of _CHUNK; each chunk draws its trials' steps and
+takes one cumsum.  Martingale trials run in chunks of up to 2 * _CHUNK: the
+steps sit step-major in one (n, trials, dim) buffer, and one Python loop over
+n turns it into the partial sums of all of the chunk's trials.  Every value
+is computed as in the one-trial recurrence, so the draws and the output bytes
+are those of stepping each trial on its own.
 """
 
 from __future__ import annotations
@@ -98,14 +105,14 @@ class FieldSpec:
             raise ValueError(f"t_size must be a positive integer, got {t!r}")
         if self.norm_kind != "cl" and t != 1:
             raise ValueError("t_size is only meaningful for the cl norm")
-        if self.family == "uniform" and self.a < 0.0:
-            raise ValueError("uniform half-width a must be nonnegative")
-        if self.family == "weibull" and self.beta <= 0.0:
-            raise ValueError("weibull shape beta must be positive")
+        if self.family == "uniform" and not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError(f"uniform half-width a must be finite and nonnegative, got {self.a!r}")
+        if self.family == "weibull" and not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"weibull shape beta must be finite and positive, got {self.beta!r}")
         if self.family == "gaussian":
             sig = np.asarray(self.sigma, dtype=float)
-            if np.any(sig < 0.0):
-                raise ValueError("gaussian sigma must be nonnegative")
+            if not np.all(np.isfinite(sig) & (sig >= 0.0)):
+                raise ValueError("gaussian sigma must be finite and nonnegative")
             if sig.ndim == 0:
                 sig = np.full(self.x_size_of(spaces), float(sig))
             elif sig.shape != (self.x_size_of(spaces),):
@@ -186,8 +193,8 @@ class TrajectoryEnsemble:
 
     def __post_init__(self):
         sups = np.asarray(self.sup_values, dtype=float)
-        if sups.shape != (self.trials,) or np.any(sups < 0.0):
-            raise ValueError("sup_values must be one nonnegative entry per trial")
+        if sups.shape != (self.trials,) or not np.all(np.isfinite(sups) & (sups >= 0.0)):
+            raise ValueError("sup_values must be one finite nonnegative entry per trial")
         object.__setattr__(self, "sup_values", sups)
 
 
@@ -254,32 +261,82 @@ def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
+    if spec.dependence == "martingale":
+        return _martingale_sups(spec, seed, lo, hi, n_max, divisors)
     count = hi - lo
     dim = spec.draw_dim
     draws = np.empty((count, n_max, dim))
-    signs = np.empty((count, n_max)) if spec.dependence == "martingale" else None
     for i in range(count):
         rng = _trial_rng(seed, lo + i)
         _fill_steps(spec, rng, draws[i])
-        if signs is not None:
-            _fill_signs(rng, signs[i])
-    if spec.dependence == "iid":
-        S = np.cumsum(draws, axis=1, out=draws)
-    else:
-        np.abs(draws, out=draws)
-        S = np.empty_like(draws)
-        running = np.zeros((count, dim))
-        kappa = spec.kappa
-        for j in range(n_max):
-            mult = 1.0 + kappa * np.tanh(running.mean(axis=1))
-            running += signs[:, j, None] * draws[:, j, :] * mult[:, None]
-            S[:, j, :] = running
+    S = np.cumsum(draws, axis=1, out=draws)
+    return _scaled_sups(spec, S, divisors)
+
+
+def _scaled_sups(spec: FieldSpec, S: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """max over n of ||S(n)|| / divisors[k, n] for a (trials, n, dim) stack -> (len(divisors), trials)."""
     norms = _norm_trajectory(spec, S)
-    sups = np.empty((len(divisors), count))
+    sups = np.empty((len(divisors), len(S)))
     scaled = np.empty_like(norms)
     for k, d in enumerate(divisors):
         np.divide(norms, d, out=scaled)
         scaled.max(axis=1, out=sups[k])
+    return sups
+
+
+def _martingale_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
+    """The martingale recurrence for trials lo..hi-1, stepped over n for all of them at once.
+
+    The steps s |y| sit step-major in one (n_max, count, dim) buffer X, which
+    the loop turns into the partial sums in place.  Each step does what the
+    one-trial recurrence mult = 1 + kappa tanh(mean S(j-1)),
+    S(j) = S(j-1) + s |y| mult does, with the same operations in the same
+    order, so the sums do not depend on how the trials are chunked.
+    """
+    count = hi - lo
+    dim = spec.draw_dim
+    X = np.empty((n_max, count, dim))
+    # Trial-major staging for half an iid chunk of trials, used twice.  The
+    # draws fill it (the Gaussian and Weibull fills write with out=, which
+    # needs contiguous rows) before it is copied into X.  The norm reads the
+    # sums from it, copied back out of X: BLAS rounds a row of a
+    # matrix-vector product by its place in the matrix, so matmul must see
+    # each trial's (n_max x size) matrices as the iid pass does.  With X
+    # alive, half a chunk keeps the peak memory about that of an iid chunk.
+    group = _CHUNK // 2
+    stage = np.empty((min(group, count), n_max, dim))
+    s = np.empty(n_max)
+    for g in range(0, count, group):
+        part = stage[: min(group, count - g)]
+        for i, steps in enumerate(part):
+            rng = _trial_rng(seed, lo + g + i)
+            _fill_steps(spec, rng, steps)
+            _fill_signs(rng, s)
+            np.abs(steps, out=steps)
+            steps *= s[:, None]
+        X[:, g : g + len(part)] = part.swapaxes(0, 1)
+    kappa = spec.kappa
+    prev = np.zeros((count, dim))
+    mult = np.empty(count)
+    mult_col = mult[:, None]
+    for j in range(n_max):
+        if dim == 1:
+            np.tanh(prev[:, 0], out=mult)
+        else:
+            np.add.reduce(prev, axis=1, out=mult)  # np.mean is this sum, then a true divide
+            mult /= dim
+            np.tanh(mult, out=mult)
+        mult *= kappa
+        mult += 1.0
+        cur = X[j]
+        cur *= mult_col
+        cur += prev
+        prev = cur
+    sups = np.empty((len(divisors), count))
+    for g in range(0, count, group):
+        part = stage[: min(group, count - g)]
+        np.copyto(part, X[:, g : g + len(part)].swapaxes(0, 1))
+        sups[:, g : g + len(part)] = _scaled_sups(spec, part, divisors)
     return sups
 
 
@@ -313,7 +370,8 @@ def simulate_many(
     divisors = np.stack([np.sqrt(ns) * loglog**r for r in rs])
     divisors[:, 0] = 1.0  # sqrt(1) * v(1), exactly
     workers = resolve_threads(threads)
-    bounds = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    chunk = 2 * _CHUNK if spec.dependence == "martingale" else _CHUNK
+    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     sups = np.empty((len(rs), trials))
     if workers <= 1 or len(bounds) == 1:
         for lo, hi in bounds:

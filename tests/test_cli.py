@@ -364,6 +364,22 @@ def test_float_json_field_that_is_not_a_number_is_an_error(tmp_path, capsys, arg
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"family": "gaussian", **_SCALAR_SPEC, "sigma": math.nan},
+        {"family": "weibull", **_SCALAR_SPEC, "beta": math.nan},
+        {"family": "uniform", **_SCALAR_SPEC, "a": math.nan},
+    ],
+    ids=["sigma-nan", "beta-nan", "a-nan"],
+)
+def test_simulate_rejects_a_non_finite_distribution_parameter(tmp_path, capsys, doc):
+    # sigma and beta used to simulate all-NaN sups, and a raised an uncaught OverflowError
+    path = _write_json(tmp_path / "spec.json", doc)
+    assert run([path if a == "{}" else a for a in _SIMULATE]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err

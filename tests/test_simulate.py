@@ -24,7 +24,7 @@ from lilbound import (
     simulate_many,
 )
 from lilbound.lil_bounds import TailBoundCurve
-from lilbound.simulate import _norm_trajectory
+from lilbound.simulate import _fill_signs, _fill_steps, _norm_trajectory, _trial_rng
 
 
 def _scalar_spec(family="rademacher", **kwargs) -> FieldSpec:
@@ -150,13 +150,114 @@ def test_trajectory_norms_are_mixed_norm(spec):
     assert np.allclose(_norm_trajectory(spec, S[None])[0], expected, rtol=1e-15, atol=0.0)
 
 
+def _martingale_by_hand(spec, n_max, trials, seed, rs):
+    """The martingale recurrence written out trial by trial, one trial per row.
+
+    Returns the per-trial sups (one row per r), the steps xi (trials, n_max,
+    dim) and the running mean of S(j-1) that each step's multiplier read.
+    """
+    dim = spec.draw_dim
+    y = np.empty((trials, n_max, dim))
+    s = np.empty((trials, n_max))
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        _fill_steps(spec, rng, y[trial])
+        _fill_signs(rng, s[trial])
+    xi = np.empty_like(y)
+    S = np.empty_like(y)
+    past_mean = np.empty((trials, n_max))
+    running = np.zeros((trials, dim))
+    for j in range(n_max):
+        past_mean[:, j] = running.mean(axis=1)
+        mult = 1.0 + spec.kappa * np.tanh(past_mean[:, j])
+        xi[:, j] = s[:, j, None] * np.abs(y[:, j]) * mult[:, None]
+        running += xi[:, j]
+        S[:, j] = running
+    norms = _norm_trajectory(spec, S)
+    ns = np.arange(1, n_max + 1, dtype=float)
+    sups = []
+    for r in rs:
+        div = np.sqrt(ns) * np.log(np.log(ns + (math.exp(math.e) - 1.0))) ** r
+        div[0] = 1.0
+        sups.append((norms / div).max(axis=1))
+    return np.array(sups), xi, past_mean
+
+
+_MARTINGALE_SPECS = {
+    "lp-dim1": _scalar_spec(dependence="martingale"),
+    "lp-dim3": FieldSpec(
+        family="gaussian",
+        spaces=(GridMeasureSpace(np.array([0.2, 0.3, 0.5])),),
+        p=3.0,
+        sigma=np.array([0.5, 1.0, 2.0]),
+        dependence="martingale",
+        kappa=0.9,
+    ),
+    "lp-dim12": FieldSpec(
+        family="uniform",
+        spaces=(GridMeasureSpace(np.linspace(0.1, 1.2, 12)),),
+        p=3.5,
+        dependence="martingale",
+        kappa=0.95,
+    ),
+    "mixed-dim2": FieldSpec(
+        family="uniform",
+        spaces=(GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6]))),
+        norm_kind="mixed",
+        p=(2.0, 3.0),
+        a=0.8,
+        dependence="martingale",
+    ),
+    "cl": FieldSpec(
+        family="weibull",
+        spaces=(GridMeasureSpace(np.array([0.3, 0.7])),),
+        norm_kind="cl",
+        p=2.5,
+        t_size=3,
+        beta=0.8,
+        dependence="martingale",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_MARTINGALE_SPECS))
+def test_martingale_sups_are_the_hand_written_recurrence_byte_for_byte(name):
+    # Pins every byte of the martingale pass, whatever its chunking: the
+    # trial counts cross chunk boundaries and leave a one-trial chunk.  BLAS
+    # may round a row of a matrix-vector product by its place in the matrix
+    # (at 12 points, a one-row product and the rows after the last whole
+    # group of four round differently), so the 12-point spec and an n_max
+    # whose half is not a multiple of 4 catch a norm that reads the sums in
+    # another layout than the trial-major one.
+    spec = _MARTINGALE_SPECS[name]
+    n_max, seed, rs = 14, 31, (0.5, 1.0)
+    for trials in (7, 129, 130, 300):
+        expected, _, _ = _martingale_by_hand(spec, n_max, trials, seed, rs)
+        for threads in (1, 2):
+            ens = simulate_many(spec, n_max, trials, seed, rs=rs, threads=threads)
+            for k, e in enumerate(ens):
+                assert e.sup_values.tobytes() == expected[k].tobytes(), (trials, threads, e.norming_r)
+
+
 def test_martingale_steps_are_conditionally_centered():
-    # The sign-flip coupling keeps E[xi_j | past] = 0; empirically the mean of
-    # xi_j conditioned on the sign of the running mean must vanish.
+    # The sign-flip coupling keeps E[xi_j | past] = 0 while the multiplier
+    # 1 + kappa tanh(mean S(j-1)) varies with the past: the steps' mean,
+    # split by the sign of the running mean they saw, vanishes within 4
+    # standard errors on either side.
     spec = _scalar_spec(dependence="martingale", kappa=0.7)
-    ens = simulate_many(spec, n_max=2000, trials=200, seed=5, rs=(0.5,))[0]
-    assert np.all(np.isfinite(ens.sup_values))
-    assert ens.sup_values.min() > 0.0
+    n_max, trials, seed = 100, 200, 5
+    sups, xi, past_mean = _martingale_by_hand(spec, n_max, trials, seed, (0.5,))
+    ens = simulate_many(spec, n_max, trials, seed, rs=(0.5,))[0]
+    assert ens.sup_values.tobytes() == sups[0].tobytes()
+    steps = xi[:, :, 0]
+    for side in (past_mean > 0.0, past_mean < 0.0):
+        sample = steps[side]
+        assert sample.size > 1000
+        assert abs(sample.mean()) < 4.0 * sample.std(ddof=1) / math.sqrt(sample.size)
+        # the multiplier reads the past: |xi| is 1 + 0.7 tanh(mean) on this side
+        assert np.array_equal(np.abs(sample), 1.0 + 0.7 * np.tanh(past_mean[side]))
+    uncoupled = simulate_many(_scalar_spec(dependence="martingale", kappa=0.0), n_max, trials, seed, rs=(0.5,))[0]
+    assert not np.array_equal(uncoupled.sup_values, ens.sup_values)
 
 
 def test_zero_field_gives_zero_sups():
@@ -340,6 +441,19 @@ def test_field_spec_validation():
         FieldSpec(family="rademacher", spaces=x, dependence="arma")
     with pytest.raises(ValueError):
         FieldSpec(family="rademacher", spaces=x, t_size=3)  # t_size needs cl
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FieldSpec(family="uniform", spaces=x, a=bad)
+        with pytest.raises(ValueError):
+            FieldSpec(family="weibull", spaces=x, beta=bad)
+        with pytest.raises(ValueError):
+            FieldSpec(family="gaussian", spaces=x, sigma=np.array([bad]))
+
+
+def test_trajectory_ensemble_rejects_non_finite_sups():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            _hand_ensemble([1.0, bad])
 
 
 @pytest.mark.parametrize(
