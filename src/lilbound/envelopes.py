@@ -9,8 +9,10 @@ Chebyshev-Markov step optimized over the moment order:
 
     h(z) = min(1, inf_L (g(L)/z)^L),
 
-computed by a grid scan over the envelope's evaluation grid followed by
-golden-section refinement in log L.  The same conversion serves field,
+computed by a grid scan over the envelope's evaluation grid, then refined in
+log L on the two segments around the best knot: in closed form for grid
+envelopes, whose interpolated log g is piecewise linear there, and by
+Brent's method for callable ones.  The same conversion serves field,
 analytic and entropy-functional envelopes; only the construction of g
 differs.
 """
@@ -46,9 +48,8 @@ __all__ = [
 
 _DEFAULT_GRID_POINTS = 257
 _DEFAULT_GRID_TOP = 1e8
-_GOLDEN_ITERS = 64
-_GOLDEN_REL_WIDTH = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRENT_REL_WIDTH = 1e-8
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, as a share of the larger side
 
 
 @dataclass(eq=False)
@@ -256,57 +257,93 @@ def mixed_envelope_from_field(xi: GridFunction, p_vec, L_grid) -> MomentEnvelope
     return _grid_field_envelope(xi, max(p_vec), L_grid, p_vec)
 
 
-def _golden_min(f, a: float, b: float):
-    """Golden-section minimum of f on [a, b]; returns (f(x*), x*)."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_ITERS):
-        if (b - a) <= _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return (fc, c) if fc <= fd else (fd, d)
+def _grid_refine(env: MomentEnvelope, i: int, log_z: float, best_val: float, best_L: float):
+    """Exact minimum of the interpolated objective on the two segments around knot i.
 
-
-def _bracket_objective(env: MomentEnvelope, i0: int, i1: int, i2: int, log_z: float):
-    """Objective lam -> L (log g(L) - log z), L = e^lam, on the bracket [i0, i2].
-
-    Grid envelopes are log-log piecewise linear, so inside the bracket the
-    interpolation reduces to two straight segments around the knot at i1;
-    analytic envelopes (and brackets touching a g = 0 grid point) call log_g.
+    Between knots log g is linear in lam = log L with slope s, so the
+    objective is e^lam (c + s (lam - lam_i)) with c = log g_i - log z.  It
+    has an interior minimum only when s > 0, at lam* = lam_i - 1 - c/s, with
+    value -s e^lam*; otherwise a segment's minimum is at a knot, and knot i
+    already beats both neighbours.
     """
-    if env._g_fn is None:
-        lamg, lg = env._log_L_grid, env._log_g_grid
-        if math.isfinite(lg[i0]) and math.isfinite(lg[i1]) and math.isfinite(lg[i2]):
-            knot, lg1 = lamg[i1], lg[i1]
-            sl_left = (lg1 - lg[i0]) / (knot - lamg[i0]) if i0 < i1 else 0.0
-            sl_right = (lg[i2] - lg1) / (lamg[i2] - knot) if i2 > i1 else 0.0
+    lam, lg = env._log_L_grid, env._log_g_grid
+    knot = lam[i]
+    c = lg[i] - log_z
+    for j in (i - 1, i + 1):
+        if not 0 <= j < lam.size:
+            continue
+        s = (lg[j] - lg[i]) / (lam[j] - knot)
+        if s > 0.0:
+            lam_star = knot - 1.0 - c / s
+            if min(knot, lam[j]) < lam_star < max(knot, lam[j]):
+                val = -s * math.exp(lam_star)
+                if val < best_val:
+                    best_val, best_L = val, math.exp(lam_star)
+    return best_val, best_L
 
-            def f(lam: float) -> float:
-                slope = sl_left if lam <= knot else sl_right
-                return math.exp(lam) * (lg1 + slope * (lam - knot) - log_z)
 
-            return f
+def _brent_min(f, a: float, b: float, x: float, fx: float):
+    """Brent's bracketed minimizer of f on [a, b], started at x with f(x) = fx.
 
-    def f(lam: float) -> float:
-        L = math.exp(lam)
-        return L * (env.log_g(L) - log_z)
-
-    return f
+    Parabolic steps through the three best points, golden-section steps when
+    a parabola would leave the bracket or not shrink it (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5).  Stops once both
+    ends of the bracket lie within 2 _BRENT_REL_WIDTH max(1, |x|) of the
+    best point x; returns (f(x), x).
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _BRENT_REL_WIDTH * max(1.0, abs(x))
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return fx, x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if golden:
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def tail_argmin(env: MomentEnvelope, z: float) -> tuple[float, float]:
     """min(1, inf_L (g(L)/z)^L) together with the optimizing L.
 
-    Grid scan first, then golden-section refinement in log L inside the best
-    bracketing triple.  The value is clamped to [0, 1] since it bounds a
+    Grid scan first, then refinement in log L on the two segments around the
+    best knot: in closed form for grid envelopes (see _grid_refine), by
+    Brent's method through log_g for callable ones.  A knot with g = 0 wins
+    the scan outright (its objective is -inf), so the refinement only ever
+    sees finite log g.  The value is clamped to [0, 1] since it bounds a
     probability; a vacuous result is 1.0, never an error.  The interesting
     range is z > 1, but any positive z is accepted (block sums feed in
     arguments u v(A(k))/w that start below 1 when w > u).
@@ -320,13 +357,17 @@ def tail_argmin(env: MomentEnvelope, z: float) -> tuple[float, float]:
     best_val = float(objective[i])
     best_L = float(env.L_grid[i])
     if best_val > -math.inf:
-        i0 = max(i - 1, 0)
-        i2 = min(i + 1, env.L_grid.size - 1)
-        lam_lo = math.log(env.L_grid[i0])
-        lam_hi = math.log(env.L_grid[i2])
-        if lam_hi > lam_lo:
-            f = _bracket_objective(env, i0, i, i2, log_z)
-            ref_val, ref_lam = _golden_min(f, lam_lo, lam_hi)
+        if env._g_fn is None:
+            best_val, best_L = _grid_refine(env, i, log_z, best_val, best_L)
+        else:
+            lam = env._log_L_grid
+            a, b = float(lam[max(i - 1, 0)]), float(lam[min(i + 1, lam.size - 1)])
+
+            def f(x: float) -> float:
+                L = math.exp(x)
+                return L * (env.log_g(L) - log_z)
+
+            ref_val, ref_lam = _brent_min(f, a, b, float(lam[i]), best_val)
             if ref_val < best_val:
                 best_val, best_L = ref_val, math.exp(ref_lam)
     if best_val >= 0.0:
@@ -343,8 +384,26 @@ def grid_scan_tails(env: MomentEnvelope, log_z: np.ndarray) -> np.ndarray:
 
     The grid scan alone, without refinement: never below tail_from_envelope's
     value at the same z, so it still bounds the tail.
+
+    With A_i = L_i log g_i, row t's objective is A_i - t L_i, and its first
+    argmin never moves down as t grows: for t' > t, a knot k below row t's
+    argmin i has A_k - t'L_k >= A_i - tL_i - (t' - t)L_k > A_i - t'L_i since
+    L_k < L_i.  So every row's argmin lies between those of the smallest and
+    the largest t.  Those two rows are scanned in full, the rest only between
+    their argmins, widened by one knot on each side: in floats, a near-tie
+    between neighbouring knots can move an argmin one knot against t.  Each
+    entry is the same product and difference that a scan over every knot
+    forms, so the result matches that scan to the byte.
     """
-    objective = (env.L_grid * env._log_g_grid)[None, :] - np.outer(log_z, env.L_grid)
+    log_z = np.asarray(log_z, dtype=float)
+    if log_z.size == 0:
+        return np.empty(0)
+    L = env.L_grid
+    A = L * env._log_g_grid
+    lo = int(np.argmin(A - log_z.min() * L))
+    hi = int(np.argmin(A - log_z.max() * L))
+    lo, hi = max(lo - 1, 0), min(hi + 2, L.size)
+    objective = A[lo:hi] - np.outer(log_z, L[lo:hi])
     return np.exp(np.minimum(objective.min(axis=1), 0.0))
 
 

@@ -39,9 +39,10 @@ _MAX_TERMS = 10_000
 _D_RANGE = range(2, 17)
 MAX_ADMISSIBLE_W_EPS = 1e-9
 
-# Leading terms get the refined tail conversion; deeper terms (whose relative
-# mass is far below the truncation threshold's resolution) use the grid-only
-# scan, which never undershoots and keeps the bound valid.
+# Leading terms get the refined tail conversion (closed form on grid
+# envelopes, Brent's method on callables); deeper terms, whose relative mass
+# is far below the truncation threshold's resolution, use the windowed
+# grid-only scan, which never undershoots and keeps the bound valid.
 _REFINED_TERMS = 32
 _BATCH_TERMS = 256
 # log A(k) beyond which the -d+1 and +e^e-1 shifts vanish at float precision.

@@ -1,9 +1,12 @@
 """Moment envelopes and the moment-to-tail conversion."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lilbound import (
     mixed_norm,
@@ -24,6 +27,7 @@ from lilbound import (
     tail_argmin,
     tail_from_envelope,
 )
+from lilbound.envelopes import grid_scan_tails
 
 
 def _linear_envelope() -> MomentEnvelope:
@@ -244,3 +248,142 @@ def test_envelope_json_missing_field_raises():
 def test_vanishing_envelope_gives_zero_tail():
     env = MomentEnvelope([2.0, 4.0, 8.0], [0.0, 0.0, 0.0], 2.0)
     assert tail_from_envelope(env, 5.0) == 0.0
+
+
+@st.composite
+def _grid_envelopes(draw):
+    """A grid envelope with a noisy, usually non-convex, log-log profile and a log z.
+
+    The mode makes the bottom or the top knot the best one, or leaves the
+    best knot wherever the profile puts it.
+    """
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mode = draw(st.sampled_from(["any", "bottom", "top"]))
+    rng = np.random.default_rng(seed)
+    lam = math.log(2.0) + np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.4, n - 1))])
+    slope = rng.uniform(0.2, 1.5)
+    log_g = rng.normal(0.0, 1.0) + slope * lam + np.cumsum(rng.normal(0.0, 0.05, n))
+    # the stationary point of the straight profile sits at lam = (log z - intercept)/slope - 1
+    log_z = float(log_g[0] + slope * (rng.uniform(lam[0], lam[-1]) + 1.0 - lam[0]))
+    if mode != "any":
+        end = 0 if mode == "bottom" else n - 1
+        rest = np.delete(np.exp(lam) * (log_g - log_z), end)
+        log_g[end] = log_z + (rest.min() - rng.uniform(0.01, 1.0)) / math.exp(lam[end])
+    return MomentEnvelope(np.exp(lam), np.exp(log_g), 2.0), log_z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_envelopes())
+def test_grid_refinement_is_the_bracket_minimum(case):
+    # the closed-form refinement must find the interpolated objective's
+    # minimum on the bracket around the best knot, and its L must give it back
+    env, log_z = case
+    lam, lg = env._log_L_grid, env._log_g_grid
+    i = int(np.argmin(env.L_grid * (lg - log_z)))
+    samples = np.linspace(lam[max(i - 1, 0)], lam[min(i + 1, lam.size - 1)], 10_000)
+    sampled = np.exp(samples) * (np.interp(samples, lam, lg) - log_z)
+    value, L = tail_argmin(env, math.exp(log_z))
+    assert value <= (1.0 + 1e-12) * min(1.0, math.exp(float(sampled.min())))
+    log_value = L * (env.log_g(L) - log_z)
+    if sys.float_info.min <= value < 1.0:  # a subnormal value has lost digits
+        assert log_value == pytest.approx(math.log(value), rel=1e-12, abs=1e-12)
+
+
+def _full_scan(env: MomentEnvelope, log_z: np.ndarray) -> np.ndarray:
+    # the scan over every knot of every row that grid_scan_tails windows
+    objective = (env.L_grid * env._log_g_grid)[None, :] - np.outer(log_z, env.L_grid)
+    return np.exp(np.minimum(objective.min(axis=1), 0.0))
+
+
+def _scan_cases():
+    # knots 0 and 1 tie in exact arithmetic at the first log z; in floats the
+    # second row's argmin drops below the first row's, inside the one-knot margin
+    yield MomentEnvelope(
+        [2.2868859982691068, 3.8351653316802636, 5.900380375707627],
+        [1.3022134209487692, 1.629245046346541, 2.6861709630943587],
+        2.0,
+    ), np.array([0.819051716240174, 0.8190517162401741, 0.8190517162401743, 0.819051716240178])
+    rng = np.random.default_rng(20261019)
+    for case in range(400):
+        n = int(rng.integers(1, 60))
+        L = np.exp(math.log(2.0) + np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))]))
+        g = np.exp(np.cumsum(rng.normal(0.3, 0.8, n)))  # non-convex in log-log
+        if case % 4 == 1:
+            g[rng.integers(0, n, size=int(rng.integers(1, 3)))] = 0.0  # -inf knots
+        env = MomentEnvelope(L, g, 2.0)
+        rows = int(rng.integers(0, 300)) if case % 10 else int(rng.integers(0, 2))  # empty and one-row batches
+        log_z = np.sort(rng.uniform(-5.0, 15.0, rows))
+        if rows > 2 and case % 3 == 0:
+            log_z = np.repeat(log_z[: rows // 2], 2)  # ties
+        if case % 7 == 2:
+            log_z = rng.permutation(log_z)  # the window needs only the smallest and largest log z
+        yield env, log_z
+
+
+def test_windowed_grid_scan_matches_the_full_scan_byte_for_byte():
+    seen = {"empty": 0, "one row": 0, "ties": 0, "unsorted": 0, "zero knots": 0}
+    for env, log_z in _scan_cases():
+        got, want = grid_scan_tails(env, log_z), _full_scan(env, log_z)
+        assert got.shape == want.shape == log_z.shape
+        assert got.tobytes() == want.tobytes()
+        seen["empty"] += log_z.size == 0
+        seen["one row"] += log_z.size == 1
+        seen["ties"] += bool(np.any(np.diff(np.sort(log_z)) == 0.0))
+        seen["unsorted"] += bool(np.any(np.diff(log_z) < 0.0))
+        seen["zero knots"] += bool(np.any(env.g_values == 0.0))
+    assert min(seen.values()) > 0, seen
+
+
+def _dense_tail(env: MomentEnvelope, z: float) -> float:
+    # three nested 2001-point lam scans of the bracket around the best knot
+    log_z = math.log(z)
+    lam = env._log_L_grid
+    i = int(np.argmin(env.L_grid * (env._log_g_grid - log_z)))
+    lo, hi = lam[max(i - 1, 0)], lam[min(i + 1, lam.size - 1)]
+    best = math.inf
+    for _ in range(3):
+        samples = np.linspace(lo, hi, 2001)
+        values = [math.exp(x) * (env.log_g(math.exp(x)) - log_z) for x in samples]
+        j = int(np.argmin(values))
+        best = min(best, values[j])
+        lo, hi = samples[max(j - 2, 0)], samples[min(j + 2, samples.size - 1)]
+    return min(1.0, math.exp(best))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FieldSpec(family="rademacher", spaces=(GridMeasureSpace(np.array([1.0])),), p=2.0),
+        FieldSpec(
+            family="uniform",
+            spaces=(GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6]))),
+            norm_kind="mixed",
+            p=(2.0, 3.0),
+        ),
+    ],
+    ids=["rademacher-lp", "uniform-mixed"],
+)
+def test_callable_refinement_is_cheap_and_matches_a_dense_scan(spec, monkeypatch):
+    from lilbound import lil_bounds
+
+    env = envelope_for_field_spec(spec)
+    for z in (4.0, 9.0, 25.0, 70.0):
+        assert tail_from_envelope(env, z) == pytest.approx(_dense_tail(env, z), rel=1e-12)
+
+    calls = {"tail": 0, "log_g": 0}
+    tail, log_g = lil_bounds.tail_from_envelope, MomentEnvelope.log_g
+
+    def counted_tail(env, z):
+        calls["tail"] += 1
+        return tail(env, z)
+
+    def counted_log_g(self, L):
+        calls["log_g"] += 1
+        return log_g(self, L)
+
+    monkeypatch.setattr(lil_bounds, "tail_from_envelope", counted_tail)
+    monkeypatch.setattr(MomentEnvelope, "log_g", counted_log_g)
+    evaluate_bound_curve(env, NormingSequence.iterated_log(1.0), np.geomspace(math.e, 60.0, 8), optimize=True)
+    assert calls["tail"] > 100
+    assert calls["log_g"] / calls["tail"] <= 15.0
