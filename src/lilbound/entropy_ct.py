@@ -33,9 +33,7 @@ from .grid_spaces import GridMeasureSpace, _check_centered, _json_number, _momen
 
 __all__ = [
     "IndexedField",
-    "moment_distance_rho",
     "field_W",
-    "distance_r",
     "distance_r_matrix",
     "sigma_bar",
     "sigma_hat",
@@ -99,25 +97,26 @@ class IndexedField:
         return _moment_root(self.values, self.omega_weights)
 
     @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (t, s) of the pairs t < s, in np.triu_indices order.
+
+        The one pair of a two-point grid is listed both ways round: numpy hands
+        a one-row matmul to dot, which rounds apart from the many-row gemv
+        that every other pair goes through.
+        """
+        if self.n_t == 2:
+            return np.array([0, 1]), np.array([1, 0])
+        return np.triu_indices(self.n_t, 1)
+
+    @cached_property
     def _diff_root(self) -> Callable[[float], np.ndarray]:
-        """v -> (E|xi(x,t,.) - xi(x,s,.)|^v)^(1/v), shape (nx, nt, nt); built once per field."""
-        return _moment_root(self.values[:, :, None, :] - self.values[:, None, :, :], self.omega_weights)
+        """v -> (E|xi(x,t,.) - xi(x,s,.)|^v)^(1/v) over _pairs, shape (nx, #pairs).
 
-
-def moment_distance_rho(field: IndexedField, t: int, s: int, v: float) -> np.ndarray:
-    """Per-point moment distance rho_{v,x}(t, s) = (E|xi(x,t) - xi(x,s)|^v)^(1/v).
-
-    t and s are indices into the parameter grid; the result is the vector
-    over x (exact finite-Omega moments), max-scaled as m (E(|diff|/m)^v)^(1/v)
-    with m the largest |diff| at x, so differences below 1 cannot underflow to 0.
-    """
-    if v < 1.0:
-        raise ValueError("moment order v must be >= 1")
-    nt = field.n_t
-    if not (0 <= t < nt and 0 <= s < nt):
-        raise ValueError(f"parameter indices must lie in [0, {nt})")
-    diff = field.values[:, t, :] - field.values[:, s, :]
-    return _moment_root(diff, field.omega_weights)(v)
+        |a - b| = |b - a| bit for bit, so a pair t < s covers (s, t) too and
+        distance_r_matrix mirrors it.  Built once per field.
+        """
+        t, s = self._pairs
+        return _moment_root(self.values[:, t, :] - self.values[:, s, :], self.omega_weights)
 
 
 def field_W(field: IndexedField, gamma: float) -> np.ndarray:
@@ -131,45 +130,37 @@ def field_W(field: IndexedField, gamma: float) -> np.ndarray:
     return field._value_root(gamma).max(axis=1)
 
 
+def _check_p_Z(p: float, Z: float) -> None:
+    """Reject p < 2 and Z < 1; written so that NaN and infinity fail too."""
+    if not 2.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 2, got {p}")
+    if not 1.0 <= Z < math.inf:
+        raise ValueError(f"Z must be finite and >= 1, got {Z}")
+
+
 def _pair_weight(p: float, Z: float, alpha: float, beta: float) -> float:
     """Rosenthal weight K_R(alpha Z) K_R^(p-1)((p-1) beta Z) of one conjugate pair."""
     return rosenthal_upper(alpha * Z) * rosenthal_upper((p - 1.0) * beta * Z) ** (p - 1.0)
 
 
-def distance_r(field: IndexedField, t: int, s: int, p: float, Z: float) -> float:
-    """Chaining distance r_{p,Z}(t,s) = 2p inf_{alpha,beta} K_R(alpha Z) K_R^{p-1}((p-1) beta Z) J.
-
-    J = int_X W^(p-1)_{(p-1) beta Z}(x) rho_{alpha Z, x}(t,s) mu(dx), and the
-    infimum runs over conjugate pairs 1/alpha + 1/beta = 1 with alpha from
-    DEFAULT_ALPHAS.  The per-pair reference for distance_r_matrix.
-    """
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
-    if Z < 1.0:
-        raise ValueError("Z must be >= 1")
-    best = math.inf
-    for a, b in _CONJUGATE_PAIRS:
-        W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        J = float((W * moment_distance_rho(field, t, s, a * Z)) @ field.x_space.weights)
-        best = min(best, _pair_weight(p, Z, a, b) * J)
-    return 2.0 * p * best
-
-
 def distance_r_matrix(field: IndexedField, p: float, Z: float) -> np.ndarray:
-    """Full (nt, nt) matrix of r_{p,Z}; symmetric with zero diagonal."""
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
-    if Z < 1.0:
-        raise ValueError("Z must be >= 1")
-    nt = field.n_t
+    """Full (nt, nt) matrix of r_{p,Z}; symmetric with zero diagonal.
+
+    r_{p,Z}(t,s) = 2p inf_{alpha,beta} K_R(alpha Z) K_R^{p-1}((p-1) beta Z) J,
+    J = int_X W^(p-1)_{(p-1) beta Z}(x) rho_{alpha Z, x}(t,s) mu(dx), with the
+    infimum over conjugate pairs 1/alpha + 1/beta = 1, alpha in DEFAULT_ALPHAS.
+    It is computed once per pair t < s and mirrored into the square.
+    """
+    _check_p_Z(p, Z)
     mu_w = field.x_space.weights
-    best = np.full((nt, nt), math.inf)
+    t, s = field._pairs
+    best = np.full(t.size, math.inf)
     for a, b in _CONJUGATE_PAIRS:
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        J = np.einsum("x,xts->ts", mu_w * W, field._diff_root(a * Z))
+        J = np.einsum("x,xk->k", mu_w * W, field._diff_root(a * Z))
         best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
-    out = 2.0 * p * best
-    np.fill_diagonal(out, 0.0)
+    out = np.zeros((field.n_t, field.n_t))
+    out[t, s] = out[s, t] = 2.0 * p * best
     return out
 
 
@@ -179,8 +170,7 @@ def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
     The integrand is the p-th power of the max-scaled pZ-th moment root (see
     field_W), so values below 1 raised to pZ cannot underflow it to 0.
     """
-    if p < 2.0 or Z < 1.0:
-        raise ValueError("requires p >= 2 and Z >= 1")
+    _check_p_Z(p, Z)
     roots = field._value_root(p * Z)
     per_t = (roots**p).T @ field.x_space.weights
     return float(per_t.max())
@@ -188,7 +178,8 @@ def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
 
 def sigma_hat(field: IndexedField, p: float, Z: float) -> float:
     """sigma_hat = K_R^p(pZ) * sigma_bar."""
-    return rosenthal_upper(p * Z) ** p * sigma_bar(field, p, Z)
+    sig_bar = sigma_bar(field, p, Z)  # checks p and Z before K_R sees them
+    return rosenthal_upper(p * Z) ** p * sig_bar
 
 
 @dataclass(frozen=True)
@@ -405,8 +396,7 @@ def nu_p_detail(
     An explicitly supplied grid is used as given (any subset of (0,1) yields
     a valid, if weaker, value).  Divergent evaluations return math.inf.
     """
-    if p < 2.0 or Z < 1.0:
-        raise ValueError("requires p >= 2 and Z >= 1")
+    _check_p_Z(p, Z)
     if isinstance(source, IndexedField):
         sig_hat = sigma_hat(source, p, Z)
         if covering is None:
@@ -462,13 +452,20 @@ def _nu_grid_envelope(
     return MomentEnvelope(p * Z_grid, g, p * float(Z_grid[0]), label)
 
 
-def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
-    """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound."""
+def _checked_Z_grid(p: float, Z_grid) -> np.ndarray:
+    """Z_grid as a float array, checked before any Z is evaluated (p with it)."""
     Z_grid = np.asarray(Z_grid, dtype=float)
     if Z_grid.ndim != 1 or Z_grid.size < 2:
         raise ValueError("Z grid must be 1-d with at least two points")
-    if np.any(Z_grid < 1.0):
-        raise ValueError("Z grid must satisfy Z >= 1")
+    if not np.all(np.isfinite(Z_grid)) or np.any(np.diff(Z_grid) <= 0.0):
+        raise ValueError(f"Z grid must be finite and strictly increasing, got {Z_grid.tolist()}")
+    _check_p_Z(p, float(Z_grid[0]))
+    return Z_grid
+
+
+def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
+    """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound."""
+    Z_grid = _checked_Z_grid(p, Z_grid)
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):
@@ -499,18 +496,13 @@ def holder_example_envelope(
     """
     if not 0.0 < l <= 1.0:
         raise ValueError("Hoelder index l must lie in (0, 1]")
-    if b > 1.0:
+    if not b <= 1.0:
         raise ValueError("moment growth power b must be <= 1")
-    if D < 0.0 or C_rho <= 0.0:
+    if not (D >= 0.0 and C_rho > 0.0):
         raise ValueError("C_rho must be positive, D nonnegative")
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
-    Z_grid = np.asarray(Z_grid, dtype=float)
-    if Z_grid.ndim != 1 or Z_grid.size < 2:
-        raise ValueError("Z grid must be 1-d with at least two points")
-    z_floor = max(1.0, 2.0 * dim / l)
-    if np.any(Z_grid <= 2.0 * dim / l) or np.any(Z_grid < 1.0):
-        raise ValueError(f"every Z must exceed max(1, 2*dim/l) = {z_floor}")
+    Z_grid = _checked_Z_grid(p, Z_grid)
+    if Z_grid[0] <= 2.0 * dim / l:
+        raise ValueError(f"every Z must exceed max(1, 2*dim/l) = {max(1.0, 2.0 * dim / l)}")
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):

@@ -15,12 +15,10 @@ from lilbound import (
     NormingSequence,
     covering_from_json,
     covering_to_json,
-    distance_r,
     distance_r_matrix,
     evaluate_bound_curve,
     field_W,
     holder_example_envelope,
-    moment_distance_rho,
     nu_envelope,
     nu_p,
     nu_p_detail,
@@ -28,6 +26,9 @@ from lilbound import (
     sigma_hat,
     rosenthal_upper,
 )
+from lilbound import entropy_ct
+from lilbound.entropy_ct import DEFAULT_ALPHAS, DEFAULT_THETA_GRID
+from lilbound.grid_spaces import _moment_root
 
 
 def _random_field(rng, nx=3, nt=4, amplitude=0.3) -> IndexedField:
@@ -51,6 +52,54 @@ def _theta_field(seed, nx, nt) -> IndexedField:
     v1 *= 0.22 / np.sqrt((xw / xw.sum()) @ v1**2).max()
     vals = np.stack([v1, -v1 * q / (1.0 - q)], axis=-1)
     return IndexedField(GridMeasureSpace(xw / xw.sum()), np.array([q, 1.0 - q]), vals)
+
+
+def _field(rng, nx, nt, n_omega) -> IndexedField:
+    # Random weights on X and Omega; each slice is centered by subtracting its mean.
+    xw = rng.uniform(0.2, 1.0, nx)
+    ow = rng.uniform(0.2, 1.0, n_omega)
+    ow = ow / ow.sum()
+    vals = rng.uniform(-0.3, 0.3, (nx, nt, n_omega))
+    vals -= (vals @ ow)[..., None]
+    return IndexedField(GridMeasureSpace(xw / xw.sum()), ow, vals)
+
+
+def _pair_weight(p, Z, a, b):
+    return rosenthal_upper(a * Z) * rosenthal_upper((p - 1.0) * b * Z) ** (p - 1.0)
+
+
+def moment_distance_rho(field, t, s, v):
+    # Per-point moment distance rho_{v,x}(t, s) = (E|xi(x,t) - xi(x,s)|^v)^(1/v),
+    # one pair at a time: the reference for the pair kernel.
+    diff = field.values[:, t, :] - field.values[:, s, :]
+    return _moment_root(diff, field.omega_weights)(v)
+
+
+def distance_r(field, t, s, p, Z):
+    # r_{p,Z}(t,s) for one pair: 2p min over the conjugate pairs of weight * J.
+    best = math.inf
+    for a in DEFAULT_ALPHAS:
+        b = a / (a - 1.0)
+        W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
+        J = float((W * moment_distance_rho(field, t, s, a * Z)) @ field.x_space.weights)
+        best = min(best, _pair_weight(p, Z, a, b) * J)
+    return 2.0 * p * best
+
+
+def _square_distance_r_matrix(field, p, Z):
+    # The full-square form the pair kernel replaced: every ordered pair (t, s),
+    # the diagonal zeroed afterwards.  distance_r_matrix must match it bit for bit.
+    nt, mu_w = field.n_t, field.x_space.weights
+    root = _moment_root(field.values[:, :, None, :] - field.values[:, None, :, :], field.omega_weights)
+    best = np.full((nt, nt), math.inf)
+    for a in DEFAULT_ALPHAS:
+        b = a / (a - 1.0)
+        W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
+        J = np.einsum("x,xts->ts", mu_w * W, root(a * Z))
+        best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
+    out = 2.0 * p * best
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def _log_space_root(a, w, v):
@@ -144,6 +193,38 @@ def test_distance_matrix_matches_pairwise_entries():
         for s in range(4):
             if t != s:
                 assert mat[t, s] == pytest.approx(distance_r(field, t, s, 2.0, 1.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_omega", [2, 3])
+@pytest.mark.parametrize("nx", [1, 3, 16])
+@pytest.mark.parametrize("nt", [1, 2, 5, 64])
+def test_pair_kernel_is_the_square_form_byte_for_byte(nt, nx, n_omega):
+    field = _field(np.random.default_rng(1000 * nt + 10 * nx + n_omega), nx, nt, n_omega)
+    for p in (2.0, 3.0):
+        for Z in (1.0, 7.3, 200.0, 800.0):
+            mat = distance_r_matrix(field, p, Z)
+            assert mat.tobytes() == _square_distance_r_matrix(field, p, Z).tobytes()
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diagonal(mat) == 0.0)
+
+
+def test_nu_envelope_is_the_square_form_byte_for_byte():
+    # g through the full-square reference: the same sigma_hat, theta grid and
+    # greedy cover of the normalized matrix that nu_p builds for itself.
+    field = _theta_field(7, 16, 64)
+    p, Z_grid = 2.0, np.geomspace(1.0, 800.0, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        g = nu_envelope(field, p, Z_grid).g_values
+    ref = np.empty(Z_grid.size)
+    for i, Z in enumerate(Z_grid):
+        sig = sigma_hat(field, p, Z)
+        thetas = np.asarray(DEFAULT_THETA_GRID, dtype=float)
+        if sig >= 1.0:
+            thetas = thetas / sig
+        cov = EmpiricalCovering.from_distance_matrix(_square_distance_r_matrix(field, p, Z) / sig)
+        ref[i] = nu_p(field, p, Z, covering=cov, theta_grid=thetas)
+    assert g.tobytes() == ref.tobytes()
 
 
 def test_empirical_covering_counts_greedy_centers():
@@ -240,13 +321,17 @@ def test_nu_explicit_theta_grid_used_verbatim():
 
 
 def test_nu_closed_form_across_Z_for_degenerate_parameter_set():
-    # With one t the optimizer always picks the smallest theta in the grid.
+    # With one t the optimizer always picks the smallest theta in the grid;
+    # nu_envelope, with no pair to compute a distance for, gets the same g.
     rng = np.random.default_rng(20260848)
     field = _random_field(rng, nt=1)
-    for Z in (1.0, 1.5, 2.0, 3.0):
+    Z_grid = (1.0, 1.5, 2.0, 3.0)
+    env = nu_envelope(field, 2.0, Z_grid)
+    for Z, g in zip(Z_grid, env.g_values):
         sig = sigma_hat(field, 2.0, Z)
         expected = (sig / (1.0 - 0.05)) ** 0.5
         assert nu_p(field, 2.0, Z) == pytest.approx(expected, rel=1e-12)
+        assert g == pytest.approx(expected, rel=1e-12)
 
 
 def test_nu_validation():
@@ -277,6 +362,37 @@ def test_nu_envelope_validation():
         nu_envelope(field, 2.0, [2.0])  # needs at least two grid points
     with pytest.raises(ValueError):
         nu_envelope(field, 2.0, [0.5, 2.0])  # Z below 1
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda f: distance_r_matrix(f, 2.0, math.nan), "Z"),
+        (lambda f: distance_r_matrix(f, math.nan, 2.0), "p"),
+        (lambda f: sigma_bar(f, 2.0, math.nan), "Z"),
+        (lambda f: sigma_hat(f, math.nan, 2.0), "p"),
+        (lambda f: nu_p_detail(f, 2.0, math.nan), "Z"),
+        (lambda f: nu_p_detail(f, math.nan, 2.0), "p"),
+        (lambda f: nu_p(0.25, 2.0, math.nan, covering=AnalyticCovering(D=1.0, dim=1)), "Z"),
+        (lambda f: nu_envelope(f, 2.0, [1.0, math.nan]), "Z"),
+        (lambda f: nu_envelope(f, math.nan, [1.0, 2.0]), "p"),
+        (lambda f: nu_envelope(f, 2.0, [math.nan, 2.0]), "Z"),
+        (lambda f: nu_envelope(f, 2.0, [1.0, math.inf]), "Z"),
+        (lambda f: nu_envelope(f, 2.0, [2.0, 1.5]), "Z"),
+        (lambda f: nu_envelope(f, 2.0, [1.5, 1.5]), "Z"),
+        (lambda f: holder_example_envelope(0.5, 0.5, 1.0, math.nan, 1, 1.0, Z_grid=[5.0, 6.0]), "p"),
+        (lambda f: holder_example_envelope(0.5, 0.5, 1.0, 2.0, 1, 1.0, Z_grid=[5.0, math.nan]), "Z"),
+    ],
+)
+def test_nan_p_and_Z_are_rejected_by_name(monkeypatch, call, name):
+    # NaN fails every comparison, so each guard is written to fail it; a Z grid
+    # is checked whole before any nu_p(Z) is evaluated.
+    evaluated = []
+    monkeypatch.setattr(entropy_ct, "nu_p", lambda *args, **kw: evaluated.append(args))
+    field = _random_field(np.random.default_rng(20260854))
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(field)
+    assert evaluated == []
 
 
 def test_holder_example_envelope_shape():
