@@ -16,11 +16,9 @@ from .constants import (
 )
 from .envelopes import (
     MomentEnvelope,
-    classify_tail,
     envelope_for_field_spec,
     envelope_from_field,
     envelope_from_json,
-    envelope_from_moments,
     envelope_to_json,
     mixed_envelope_from_field,
     tail_argmin,
@@ -34,7 +32,6 @@ from .entropy_ct import (
     covering_to_json,
     distance_r_matrix,
     field_W,
-    holder_example_envelope,
     nu_envelope,
     nu_p,
     nu_p_detail,
@@ -56,7 +53,6 @@ from .lil_bounds import (
     TailBoundCurve,
     evaluate_bound_curve,
     fit_bound_shape,
-    lower_bound_Q,
     max_admissible_w,
     optimize_bound,
     upper_bound,
@@ -74,7 +70,6 @@ from .simulate import (
     clopper_pearson_upper,
     dominance_report,
     empirical_Q,
-    horizon_growth,
     resolve_threads,
     simulate_many,
 )
@@ -89,11 +84,9 @@ __all__ = [
     "mixingale_coefficient",
     "rosenthal_upper",
     "MomentEnvelope",
-    "classify_tail",
     "envelope_for_field_spec",
     "envelope_from_field",
     "envelope_from_json",
-    "envelope_from_moments",
     "envelope_to_json",
     "mixed_envelope_from_field",
     "tail_argmin",
@@ -105,7 +98,6 @@ __all__ = [
     "covering_to_json",
     "distance_r_matrix",
     "field_W",
-    "holder_example_envelope",
     "nu_envelope",
     "nu_p",
     "nu_p_detail",
@@ -123,7 +115,6 @@ __all__ = [
     "TailBoundCurve",
     "evaluate_bound_curve",
     "fit_bound_shape",
-    "lower_bound_Q",
     "max_admissible_w",
     "optimize_bound",
     "upper_bound",
@@ -137,7 +128,6 @@ __all__ = [
     "clopper_pearson_upper",
     "dominance_report",
     "empirical_Q",
-    "horizon_growth",
     "resolve_threads",
     "simulate_many",
     "__version__",

@@ -45,7 +45,6 @@ __all__ = [
     "nu_p_detail",
     "nu_p",
     "nu_envelope",
-    "holder_example_envelope",
     "DEFAULT_ALPHAS",
     "DEFAULT_THETA_GRID",
 ]
@@ -197,14 +196,14 @@ class AnalyticCovering:
     C_cov: float = 1.0
 
     def __post_init__(self):
-        if self.D < 0.0:
-            raise ValueError("diameter must be nonnegative")
+        if not 0.0 <= self.D < math.inf:  # NaN fails it too
+            raise ValueError(f"diameter D must be finite and nonnegative, got {self.D}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         if not 0.0 < self.l <= 1.0:
             raise ValueError("Hoelder index l must lie in (0, 1]")
-        if self.C_cov <= 0.0:
-            raise ValueError("C_cov must be positive")
+        if not 0.0 < self.C_cov < math.inf:
+            raise ValueError(f"C_cov must be finite and positive, got {self.C_cov}")
 
     @property
     def eps_one(self) -> float:
@@ -238,8 +237,9 @@ class EmpiricalCovering:
         t = np.asarray(self.thresholds, dtype=float)
         if t.ndim != 1:
             raise ValueError("thresholds must be 1-d")
-        if t.size and (np.any(t <= 0.0) or np.any(np.diff(t) > 0.0)):
-            raise ValueError("thresholds must be positive and non-increasing")
+        # written so that NaN fails: every comparison with it is False
+        if not (np.all((t > 0.0) & (t < math.inf)) and np.all(np.diff(t) <= 0.0)):
+            raise ValueError(f"thresholds must be finite, positive and non-increasing, got {t.tolist()}")
         object.__setattr__(self, "thresholds", t)
 
     @classmethod
@@ -406,8 +406,8 @@ def nu_p_detail(
             covering = EmpiricalCovering.from_distance_matrix(r_mat)
     else:
         sig_hat = float(source)
-        if sig_hat < 0.0:
-            raise ValueError("sigma_hat must be nonnegative")
+        if not 0.0 <= sig_hat < math.inf:  # NaN fails it too
+            raise ValueError(f"sigma_hat must be finite and nonnegative, got {sig_hat}")
         if covering is None:
             raise ValueError("a covering function is required with a scalar sigma_hat")
     if theta_grid is None:
@@ -420,8 +420,8 @@ def nu_p_detail(
     else:
         rescaled = False
         thetas = np.asarray(theta_grid, dtype=float)
-        if thetas.size == 0 or np.any(thetas <= 0.0) or np.any(thetas >= 1.0):
-            raise ValueError("theta grid must be a nonempty subset of (0, 1)")
+        if thetas.size == 0 or not np.all((thetas > 0.0) & (thetas < 1.0)):  # NaN fails it too
+            raise ValueError(f"theta grid must be a nonempty subset of (0, 1), got {thetas.tolist()}")
     if sig_hat == 0.0:
         sums = np.full(thetas.shape, 1.0 / (1.0 - thetas[0]))
         return NuPDetail(p, Z, 0.0, thetas, sums, 0.0, float(thetas[0]), rescaled)
@@ -437,79 +437,29 @@ def nu_p(source, p: float, Z: float, covering=None, theta_grid=None) -> float:
     return nu_p_detail(source, p, Z, covering, theta_grid).value
 
 
-def _nu_grid_envelope(
-    p: float, Z_grid: np.ndarray, g: np.ndarray, rescaled_any: bool, label: str
-) -> MomentEnvelope:
-    """Grid envelope g(L) = nu_p(L/p) at L = p * Z_grid; warns for the caller of its caller."""
-    if rescaled_any:
-        warnings.warn(
-            "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
-            stacklevel=3,
-        )
-    if np.any(np.isinf(g)):
-        bad = Z_grid[np.isinf(g)]
-        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
-    return MomentEnvelope(p * Z_grid, g, p * float(Z_grid[0]), label)
+def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
+    """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound.
 
-
-def _checked_Z_grid(p: float, Z_grid) -> np.ndarray:
-    """Z_grid as a float array, checked before any Z is evaluated (p with it)."""
+    The Z grid (p with it) is checked whole before any Z is evaluated.
+    """
     Z_grid = np.asarray(Z_grid, dtype=float)
     if Z_grid.ndim != 1 or Z_grid.size < 2:
         raise ValueError("Z grid must be 1-d with at least two points")
     if not np.all(np.isfinite(Z_grid)) or np.any(np.diff(Z_grid) <= 0.0):
         raise ValueError(f"Z grid must be finite and strictly increasing, got {Z_grid.tolist()}")
     _check_p_Z(p, float(Z_grid[0]))
-    return Z_grid
-
-
-def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
-    """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound."""
-    Z_grid = _checked_Z_grid(p, Z_grid)
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):
         thetas, rescaled = _default_thetas(sigma_hat(field, p, Z))
         rescaled_any |= rescaled
         g[i] = nu_p(field, p, Z, theta_grid=thetas)
-    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "chained")
-
-
-def holder_example_envelope(
-    C_rho: float,
-    l: float,
-    b: float,
-    p: float,
-    dim: int,
-    D: float,
-    *,
-    Z_grid,
-) -> MomentEnvelope:
-    """Envelope for a Hoelder-continuous field on a bounded set in R^dim.
-
-    Models rho_{v,x}(t,s) <= B_v(x) ||t-s||^l with the aggregate bound
-    int W^(p-1) B dmu <= C_rho * Z^b and sigma_bar = Z^b, valid for
-    Z > 2*dim/l.  The chaining distance is then r <= c_Z ||t-s||^l with
-    c_Z = 2p K_R(2Z) K_R^(p-1)(2(p-1)Z) C_rho Z^b (conjugate pair alpha =
-    beta = 2), so covering numbers in r_hat reduce to the analytic form with
-    an effective diameter D * (c_Z / sigma_hat)^(1/l).
-    """
-    if not 0.0 < l <= 1.0:
-        raise ValueError("Hoelder index l must lie in (0, 1]")
-    if not b <= 1.0:
-        raise ValueError("moment growth power b must be <= 1")
-    if not (D >= 0.0 and C_rho > 0.0):
-        raise ValueError("C_rho must be positive, D nonnegative")
-    Z_grid = _checked_Z_grid(p, Z_grid)
-    if Z_grid[0] <= 2.0 * dim / l:
-        raise ValueError(f"every Z must exceed max(1, 2*dim/l) = {max(1.0, 2.0 * dim / l)}")
-    g = np.empty(Z_grid.size)
-    rescaled_any = False
-    for i, Z in enumerate(Z_grid):
-        sig_hat = rosenthal_upper(p * Z) ** p * Z**b
-        c_Z = 2.0 * p * _pair_weight(p, Z, 2.0, 2.0) * C_rho * Z**b
-        cov = AnalyticCovering(D=D * (c_Z / sig_hat) ** (1.0 / l), dim=dim, l=l)
-        thetas, rescaled = _default_thetas(sig_hat)
-        rescaled_any |= rescaled
-        g[i] = nu_p(sig_hat, p, Z, covering=cov, theta_grid=thetas)
-    return _nu_grid_envelope(p, Z_grid, g, rescaled_any, "holder-example")
+    if rescaled_any:
+        warnings.warn(
+            "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
+            stacklevel=2,
+        )
+    if np.any(np.isinf(g)):
+        bad = Z_grid[np.isinf(g)]
+        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
+    return MomentEnvelope(p * Z_grid, g, p * float(Z_grid[0]), "chained")

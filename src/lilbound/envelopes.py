@@ -34,14 +34,11 @@ if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annot
 __all__ = [
     "MomentEnvelope",
     "envelope_from_field",
-    "envelope_from_moments",
     "mixed_envelope_from_field",
     "envelope_for_field_spec",
     "tail_from_envelope",
     "tail_argmin",
     "grid_scan_tails",
-    "TailClass",
-    "classify_tail",
     "envelope_to_json",
     "envelope_from_json",
 ]
@@ -76,13 +73,16 @@ class MomentEnvelope:
             raise ValueError("L_grid and g_values must be matching 1-d arrays")
         if not np.all(np.isfinite(L)) or np.any(np.diff(L) <= 0.0):
             raise ValueError("evaluation grid must be finite and strictly increasing")
-        if L[0] < self.domain_low:
+        domain_low = float(self.domain_low)
+        if not math.isfinite(domain_low):
+            raise ValueError(f"domain_low must be finite, got {domain_low}")
+        if L[0] < domain_low:
             raise ValueError("evaluation grid must start at or above domain_low")
         if np.any(~np.isfinite(g)) or np.any(g < 0.0):
             raise ValueError("g must be finite and nonnegative on the grid")
         self.L_grid = L
         self.g_values = g
-        self.domain_low = float(self.domain_low)
+        self.domain_low = domain_low
         with np.errstate(divide="ignore"):
             self._log_g_grid = np.log(g)
         self._log_L_grid = np.log(L)
@@ -229,19 +229,6 @@ def envelope_from_field(xi: GridFunction, p: float, L_grid) -> MomentEnvelope:
     if xi.n_factors != 2:
         raise ValueError("envelope_from_field expects a two-factor function on X x Omega")
     return _grid_field_envelope(xi, float(p), L_grid)
-
-
-def envelope_from_moments(moment_fn: Callable[[float], float], p: float) -> MomentEnvelope:
-    """Envelope from an analytic moment function: g(L) = 2 K_R(L) moment_fn(L).
-
-    moment_fn(L) plays the role of ( integral_X E|xi(x)|^L mu(dx) )^(1/L) given
-    in closed form, e.g. L^(1/beta) for sub-Weibull moment growth.
-    """
-
-    def g_fn(L: float) -> float:
-        return 2.0 * rosenthal_upper(L) * float(moment_fn(L))
-
-    return MomentEnvelope.from_callable(g_fn, float(p))
 
 
 def mixed_envelope_from_field(xi: GridFunction, p_vec, L_grid) -> MomentEnvelope:
@@ -405,36 +392,6 @@ def grid_scan_tails(env: MomentEnvelope, log_z: np.ndarray) -> np.ndarray:
     lo, hi = max(lo - 1, 0), min(hi + 2, L.size)
     objective = A[lo:hi] - np.outer(log_z, L[lo:hi])
     return np.exp(np.minimum(objective.min(axis=1), 0.0))
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Tail-shape descriptors for moment growth of order L^(1/beta1) (log factor beta2).
-
-    r0 is the norming power paired with the class; the resulting bound decays
-    like exp(-C u^u_power log^log_power u).
-    """
-
-    beta1: float
-    beta2: float
-    r0: float
-    u_power: float
-    log_power: float
-
-
-def classify_tail(beta1: float, beta2: float = 0.0) -> TailClass:
-    """Norming power and bound exponents for a tail class.
-
-    beta1 = inf is the bounded case: r0 = 1 and the bound shape is exp(-C u).
-    """
-    if math.isinf(beta1):
-        return TailClass(beta1=math.inf, beta2=float(beta2), r0=1.0, u_power=1.0, log_power=0.0)
-    if not beta1 > 0.0:
-        raise ValueError("beta1 must be positive (or infinite)")
-    r0 = (beta1 + 1.0) / beta1
-    u_power = beta1 / (beta1 + 1.0)
-    log_power = (-beta2 - beta1 * (beta1 - 1.0)) / (beta1 + 1.0)
-    return TailClass(float(beta1), float(beta2), r0, u_power, log_power)
 
 
 def envelope_to_json(env: MomentEnvelope) -> dict:

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .envelopes import MomentEnvelope, grid_scan_tails, tail_from_envelope
-from .partitions import E_E, NormingSequence, Partition, class_Y_check, geometric_partition
+from .partitions import NormingSequence, Partition, class_Y_check, geometric_partition
 
 __all__ = [
     "BoundEvaluation",
     "upper_bound",
     "optimize_bound",
-    "lower_bound_Q",
+    "max_admissible_w",
     "TailBoundCurve",
     "evaluate_bound_curve",
     "ShapeFit",
@@ -65,9 +65,6 @@ class BoundEvaluation:
     vacuous: bool = False
     diverged: bool = False
     terms: int = 0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _block_norming_value(partition: Partition, norming: NormingSequence, k: int) -> float:
@@ -200,29 +197,14 @@ def _require_u(u: float) -> float:
     return u
 
 
-def lower_bound_Q(
-    xi_norm_tail: Callable[[float], float],
-    u: float,
-    *,
-    C: Optional[float] = None,
-    norming_r: Optional[float] = None,
-) -> float:
-    """Lower bound for Q(u): always P(||xi|| > u); for the r = 1/2 norming also
-    exp(-C u^2 log log u) for u > e^e, with user-supplied C > 0.
-
-    Requesting the r = 1/2 branch (norming_r == 0.5) without C is an error;
-    the constant is not pinned down by the theory and must be supplied.
-    """
-    branch = float(xi_norm_tail(u))
-    branch = min(1.0, max(0.0, branch))
-    if norming_r is not None and norming_r == 0.5:
-        if C is None:
-            raise ValueError("the r = 1/2 lower-bound branch requires the constant C")
-        if C <= 0.0:
-            raise ValueError("C must be positive")
-        if u > E_E:
-            branch = max(branch, math.exp(-C * u * u * math.log(math.log(u))))
-    return branch
+def _check_u_grid(u: np.ndarray) -> None:
+    """Reject a u grid that is not 1-d, nonempty, finite and strictly increasing."""
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("u grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u grid must be finite")
+    if np.any(np.diff(u) <= 0.0):
+        raise ValueError("u grid must be strictly increasing")
 
 
 @dataclass
@@ -245,12 +227,9 @@ class TailBoundCurve:
     def __post_init__(self):
         u = np.asarray(self.u_grid, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if u.ndim != 1 or u.size == 0 or vals.shape != u.shape:
-            raise ValueError("u_grid and values must be matching nonempty 1-d arrays")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u grid must be finite")
-        if np.any(np.diff(u) <= 0.0):
-            raise ValueError("u grid must be strictly increasing")
+        _check_u_grid(u)
+        if vals.shape != u.shape:
+            raise ValueError("u_grid and values must have the same shape")
         if u[0] < math.e - 1e-12:
             raise ValueError("u grid must start at or above e")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails both

@@ -380,6 +380,30 @@ def test_simulate_rejects_a_non_finite_distribution_parameter(tmp_path, capsys, 
     assert "must be finite" in capsys.readouterr().err
 
 
+_ANALYTIC = {"kind": "analytic", "D": 1.0, "d": 1}
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (_ENTROPY, {**_ANALYTIC, "D": math.nan}),
+        (_ENTROPY, {**_ANALYTIC, "D": math.inf}),
+        (_ENTROPY, {**_ANALYTIC, "C_cov": math.nan}),
+        (_ENTROPY, {"kind": "empirical", "thresholds": [1.0, math.nan, 0.5]}),
+        (_ENTROPY + ["--sigma-coeff", "nan"], _ANALYTIC),
+        (_ENTROPY + ["--sigma-coeff", "inf"], _ANALYTIC),
+        (_BOUND, {**_ENVELOPE, "p": math.nan}),
+    ],
+    ids=["D-nan", "D-inf", "C_cov-nan", "thresholds-nan", "sigma-coeff-nan", "sigma-coeff-inf", "envelope-p-nan"],
+)
+def test_entropy_and_bound_reject_a_non_finite_input(tmp_path, capsys, argv, doc):
+    # each used to exit 0: entropy printed finite rows for the NaN covering
+    # fields and NaN or inf rows for the others, bound printed rows at p = NaN
+    path = _write_json(tmp_path / "doc.json", doc)
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err

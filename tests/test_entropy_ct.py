@@ -18,7 +18,6 @@ from lilbound import (
     distance_r_matrix,
     evaluate_bound_curve,
     field_W,
-    holder_example_envelope,
     nu_envelope,
     nu_p,
     nu_p_detail,
@@ -310,6 +309,13 @@ def test_nu_rescales_theta_grid_when_sigma_hat_large(recwarn):
     assert math.isfinite(detail.value)
 
 
+def test_nu_envelope_rescale_warning_points_at_its_caller():
+    field = _random_field(np.random.default_rng(20260846), amplitude=0.9)
+    with pytest.warns(UserWarning, match="rescaled") as record:
+        nu_envelope(field, 2.0, [2.0, 3.0])
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_nu_explicit_theta_grid_used_verbatim():
     rng = np.random.default_rng(20260847)
     field = _random_field(rng, nt=1)
@@ -318,6 +324,12 @@ def test_nu_explicit_theta_grid_used_verbatim():
     assert detail.best_theta == 0.1  # smaller theta wins the geometric series
     with pytest.raises(ValueError):
         nu_p_detail(field, 2.0, 1.5, theta_grid=(0.0, 0.5))
+
+
+def test_nu_rejects_a_nan_theta():
+    # a NaN theta passed both range checks; the CLI printed nu_p = inf, or ignored it
+    with pytest.raises(ValueError, match="theta grid"):
+        nu_p(0.25, 2.0, 2.0, covering=AnalyticCovering(D=1.0, dim=1), theta_grid=(0.5, math.nan))
 
 
 def test_nu_closed_form_across_Z_for_degenerate_parameter_set():
@@ -380,8 +392,6 @@ def test_nu_envelope_validation():
         (lambda f: nu_envelope(f, 2.0, [1.0, math.inf]), "Z"),
         (lambda f: nu_envelope(f, 2.0, [2.0, 1.5]), "Z"),
         (lambda f: nu_envelope(f, 2.0, [1.5, 1.5]), "Z"),
-        (lambda f: holder_example_envelope(0.5, 0.5, 1.0, math.nan, 1, 1.0, Z_grid=[5.0, 6.0]), "p"),
-        (lambda f: holder_example_envelope(0.5, 0.5, 1.0, 2.0, 1, 1.0, Z_grid=[5.0, math.nan]), "Z"),
     ],
 )
 def test_nan_p_and_Z_are_rejected_by_name(monkeypatch, call, name):
@@ -393,22 +403,3 @@ def test_nan_p_and_Z_are_rejected_by_name(monkeypatch, call, name):
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call(field)
     assert evaluated == []
-
-
-def test_holder_example_envelope_shape():
-    # dim = 1, l = 1/2 requires Z > 2 dim / l = 4.  sigma_hat exceeds 1 on
-    # this grid, so the theta rescaling warning is expected.
-    with pytest.warns(UserWarning, match="rescaled"):
-        env = holder_example_envelope(
-            C_rho=0.5, l=0.5, b=1.0, p=2.0, dim=1, D=1.0, Z_grid=np.linspace(4.5, 8.0, 8)
-        )
-    assert env.domain_low == 9.0  # p * Z_grid[0]
-    assert np.all(np.isfinite(env.g_values))
-    assert np.all(env.g_values > 0.0)
-
-
-def test_holder_example_envelope_rejects_small_Z():
-    with pytest.raises(ValueError):
-        holder_example_envelope(
-            C_rho=0.5, l=0.5, b=1.0, p=2.0, dim=1, D=1.0, Z_grid=np.linspace(1.0, 4.0, 7)
-        )

@@ -15,11 +15,9 @@ from lilbound import (
     GridMeasureSpace,
     MomentEnvelope,
     NormingSequence,
-    classify_tail,
     envelope_for_field_spec,
     envelope_from_field,
     envelope_from_json,
-    envelope_from_moments,
     envelope_to_json,
     evaluate_bound_curve,
     mixed_envelope_from_field,
@@ -162,12 +160,6 @@ def test_two_point_gaussian_envelope_matches_log_space_closed_form():
         assert env.g(L) == pytest.approx(expected, rel=1e-12)
 
 
-def test_envelope_from_moments_wraps_moment_function():
-    env = envelope_from_moments(lambda L: L**0.5, 2.0)
-    for L in (2.0, 16.0, 400.0):
-        assert env.g(L) == pytest.approx(2.0 * rosenthal_upper(L) * L**0.5, rel=1e-12)
-
-
 def test_grid_envelope_rejects_evaluation_outside_span():
     env = MomentEnvelope([2.0, 4.0], [1.0, 2.0], 2.0)
     with pytest.raises(ValueError):
@@ -187,32 +179,6 @@ def test_envelope_validation_errors():
         MomentEnvelope([2.0, 4.0, math.inf], [1.0, 1.0, 1.0], 2.0)  # infinite knot
     with pytest.raises(ValueError):
         MomentEnvelope([2.0, math.nan, 8.0], [1.0, 1.0, 1.0], 2.0)  # NaN knot
-
-
-def test_classify_tail_power_family():
-    cls = classify_tail(1.0)
-    assert cls.r0 == pytest.approx(2.0)
-    assert cls.u_power == pytest.approx(0.5)
-    assert cls.log_power == pytest.approx(0.0)
-
-
-def test_classify_tail_bounded_family():
-    cls = classify_tail(math.inf)
-    assert cls.r0 == 1.0
-    assert cls.u_power == 1.0
-    assert cls.log_power == 0.0
-
-
-def test_classify_tail_log_correction():
-    cls = classify_tail(2.0, beta2=1.0)
-    assert cls.r0 == pytest.approx(1.5)
-    assert cls.u_power == pytest.approx(2.0 / 3.0)
-    assert cls.log_power == pytest.approx(-(1.0 + 2.0) / 3.0)
-
-
-def test_classify_tail_requires_positive_beta1():
-    with pytest.raises(ValueError):
-        classify_tail(0.0)
 
 
 def test_envelope_json_round_trip_preserves_tails():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lilbound import (
-    E_E,
     FieldSpec,
     GridMeasureSpace,
     MomentEnvelope,
@@ -17,7 +16,6 @@ from lilbound import (
     evaluate_bound_curve,
     fit_bound_shape,
     geometric_partition,
-    lower_bound_Q,
     max_admissible_w,
     optimize_bound,
     upper_bound,
@@ -299,22 +297,6 @@ def test_curve_validation():
 def test_curve_rejects_non_finite_entries(u, values):
     with pytest.raises(ValueError):
         TailBoundCurve(np.array(u), np.array(values))
-
-
-def test_lower_bound_uses_summand_tail():
-    tail = lambda u: math.exp(-u)
-    assert lower_bound_Q(tail, 5.0) == pytest.approx(math.exp(-5.0))
-
-
-def test_lower_bound_sqrt_branch_needs_constant():
-    tail = lambda u: 0.0
-    with pytest.raises(ValueError):
-        lower_bound_Q(tail, 20.0, norming_r=0.5)
-    value = lower_bound_Q(tail, 20.0, C=1.0, norming_r=0.5)
-    assert value == pytest.approx(math.exp(-400.0 * math.log(math.log(20.0))))
-    # below e^e the iterated-log branch is unavailable
-    assert lower_bound_Q(tail, 5.0, C=1.0, norming_r=0.5) == 0.0
-    assert E_E > 5.0
 
 
 def test_fit_recovers_planted_power_curve():

@@ -1,6 +1,8 @@
 """Package surface: exported names, and the attributes perfbench's traced pass wraps."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,41 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_every_package_export_is_in_its_module_all():
+    tree = ast.parse(Path(lilbound.__file__).read_text())
+    imported, missing = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod_all = importlib.import_module(f"lilbound.{node.module}").__all__
+            names = [a.name for a in node.names]
+            imported.update(names)
+            missing += [f"{node.module}.{name}" for name in names if name not in mod_all]
+    assert missing == []
+    assert set(lilbound.__all__) - {"__version__"} <= imported
+
+
+@pytest.mark.parametrize("path", sorted(Path(lilbound.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_src_has_no_unused_import(path):
+    # no linter is installed; this is its F401 check.  An import counts as
+    # used when its name is read anywhere in the module or listed in __all__.
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+    assert unused == []
 
 
 def test_block_walk_goes_through_the_traced_names(monkeypatch):

@@ -17,7 +17,6 @@ from lilbound import (
     dominance_report,
     empirical_Q,
     envelope_for_field_spec,
-    horizon_growth,
     mixed_norm,
     resolve_threads,
     rosenthal_upper,
@@ -285,6 +284,13 @@ def test_empirical_Q_counts_strict_exceedances():
     assert curve.trials == 4
 
 
+@pytest.mark.parametrize("u_grid", [[math.nan], [], [3.0, math.nan], [3.0, math.inf]])
+def test_empirical_Q_rejects_a_grid_that_is_not_finite_nonempty_and_increasing(u_grid):
+    # [nan] used to give q_hat 0 with a 99% limit of 0.045, and [] an empty curve
+    with pytest.raises(ValueError, match="u grid must be"):
+        empirical_Q(_hand_ensemble([1.0, 3.0, 3.0, 5.0]), u_grid)
+
+
 def test_clopper_pearson_upper_matches_beta_quantile():
     for k, n in ((0, 100), (3, 100), (99, 100), (100, 100)):
         value = clopper_pearson_upper(k, n)
@@ -482,14 +488,6 @@ def test_resolve_threads_env_override(monkeypatch):
     monkeypatch.delenv("LIL_THREADS")
     assert resolve_threads(5) == 5
     assert resolve_threads(None) == 1
-
-
-def test_horizon_growth_reports_doubling_ratio():
-    spec = _scalar_spec()
-    out = horizon_growth(spec, n_max=64, trials=30, seed=2)
-    assert set(out) >= {"grew_fraction", "max_relative_increase", "n_max"}
-    assert 0.0 <= out["grew_fraction"] <= 1.0
-    assert out["max_relative_increase"] >= 0.0
 
 
 def test_mixed_norm_spec_simulates():
