@@ -54,8 +54,6 @@ DEFAULT_ALPHAS = (1.25, 1.5, 2.0, 3.0, 5.0)
 _CONJUGATE_PAIRS = tuple((a, a / (a - 1.0)) for a in DEFAULT_ALPHAS)
 DEFAULT_THETA_GRID = tuple(np.round(np.arange(1, 20) * 0.05, 2))
 
-_MAX_K_TERMS = 10_000
-
 
 @dataclass(frozen=True)
 class IndexedField:
@@ -211,7 +209,7 @@ class AnalyticCovering:
         return (self.C_cov * self.D) ** self.l
 
     def n(self, eps: float) -> float:
-        if self.D == 0.0:
+        if self.D == 0.0 or eps >= self.eps_one:  # no power of a huge eps is taken
             return 1.0
         if eps <= 0.0:
             return math.inf
@@ -265,17 +263,8 @@ class EmpiricalCovering:
     def n_sat(self) -> float:
         return float(self.thresholds.size + 1)
 
-    @property
-    def eps_min(self) -> float:
-        return float(self.thresholds[-1]) if self.thresholds.size else math.inf
-
     def n(self, eps: float) -> float:
-        t = self.thresholds
-        if t.size == 0:
-            return 1.0
-        asc = t[::-1]
-        count_gt = t.size - int(np.searchsorted(asc, eps, side="right"))
-        return 1.0 + count_gt
+        return 1.0 + int(np.count_nonzero(self.thresholds > eps))
 
 
 def covering_to_json(cov) -> dict:
@@ -306,53 +295,63 @@ def covering_from_json(data: dict):
 
 
 def _inner_theta_sum(covering, s: float, theta: float, Z: float) -> float:
-    """sum_k theta^(k-1) N^(1/Z)(radius s^k), exact where the covering's structure allows.
+    """sum_k theta^(k-1) N^(1/Z)(radius s^k), in closed form.
 
-    Returns math.inf when the series diverges (possible only in the analytic
-    pure-power regime with ratio >= 1) or fails to resolve within the horizon.
+    N(s^k) is constant on the runs of k between the cuts where s^k crosses a
+    covering threshold, so the sum is a few finite geometric blocks and a
+    closed-form tail.  Returns math.inf when the series diverges (possible
+    only in the analytic pure-power regime with ratio >= 1).
     """
     if s == 0.0:
         # radius identically 0 only happens for sigma_hat == 0, handled upstream
         raise ValueError("radius base must be positive")
     if s == 1.0:
         return covering.n(1.0) ** (1.0 / Z) / (1.0 - theta)
-    analytic = isinstance(covering, AnalyticCovering)
-    empirical = isinstance(covering, EmpiricalCovering)
-    total = 0.0
-    prev = math.inf
-    for k in range(1, _MAX_K_TERMS + 1):
-        try:
-            radius = s**k
-        except OverflowError:
-            radius = math.inf
-        if s < 1.0:
-            if empirical and radius < covering.eps_min:
-                # saturated: N is constant from here on, geometric tail is exact
-                return total + covering.n_sat ** (1.0 / Z) * theta ** (k - 1) / (1.0 - theta)
-            if analytic:
-                if covering.D == 0.0:
-                    return total + theta ** (k - 1) / (1.0 - theta)
-                if radius <= covering.eps_one:
-                    # pure power regime for every smaller radius; geometric in k
-                    ratio = theta * s ** (-covering.dim / (covering.l * Z))
-                    if ratio >= 1.0:
-                        return math.inf
-                    amp = (covering.C_cov * covering.D) ** (covering.dim / Z)
-                    return total + amp * ratio**k / (theta * (1.0 - ratio))
-        N = covering.n(radius)
-        if s > 1.0 and N <= 1.0:
-            # radii grow from here, so one ball keeps sufficing
-            return total + theta ** (k - 1) / (1.0 - theta)
-        term = theta ** (k - 1) * N ** (1.0 / Z)
-        if not math.isfinite(term):
-            return math.inf
-        total += term
-        if term == 0.0:
-            return total
-        if term <= prev and term < 1e-16 * total:
-            return total
-        prev = term
-    return math.inf
+    if isinstance(covering, AnalyticCovering):
+        return _analytic_sum(covering, s, theta, Z)
+    t = covering.thresholds
+    if s < 1.0 and (t.size == 0 or s < t[-1]):  # below every threshold from k = 1 on
+        return covering.n_sat ** (1.0 / Z) / (1.0 - theta)
+    far = t[t <= s] if s < 1.0 else t[t > s]  # the thresholds s^k crosses past k = 1
+    x = np.log(far) / math.log(s)
+    # Threshold t counts at k while s^k < t: from k = floor(x) + 1 on when
+    # s < 1, up to k = ceil(x) - 1 when s > 1.  x is good to a few ulp; the
+    # relative margin widens each such run of k, so rounding can only raise N.
+    if s < 1.0:
+        cuts, step = np.floor(x * (1.0 - 1e-12)) + 1.0, 1.0
+    else:
+        cuts, step = np.ceil(x * (1.0 + 1e-12))[::-1], -1.0
+    n = covering.n(s) + step * np.arange(cuts.size + 1)
+    first = theta ** np.concatenate(([0.0], cuts - 1.0))  # theta^(k-1) at each block's first k
+    return float(n ** (1.0 / Z) @ (first - np.append(first[1:], 0.0))) / (1.0 - theta)
+
+
+def _analytic_sum(cov: AnalyticCovering, s: float, theta: float, Z: float) -> float:
+    """The inner sum for N(eps) = max(1, C_cov D / eps^(1/l))^dim, cut once at eps_one.
+
+    Before c, the first k with s^k past eps_one, the terms are geometric with
+    one ratio, from c on with the other: theta where N = 1, and theta
+    s^(-dim/(l Z)) where N is a pure power.
+    """
+    if cov.D == 0.0:
+        return 1.0 / (1.0 - theta)
+    log_cd, ln_s, a = math.log(cov.C_cov) + math.log(cov.D), math.log(s), cov.dim / Z
+    ratio = theta * math.exp(-a * ln_s / cov.l)
+    head, tail = (ratio, theta) if s > 1.0 else (theta, ratio)
+    if tail >= 1.0:
+        return math.inf
+    c = max(1, math.ceil(cov.l * log_cd / ln_s))  # ln eps_one / ln s
+
+    def term(k):  # theta^(k-1) N^(1/Z)(s^k), in log space
+        return math.exp((k - 1) * math.log(theta) + a * max(0.0, log_cd - k * ln_s / cov.l))
+
+    return term(1) * (1.0 - head ** (c - 1)) / (1.0 - head) + term(c) / (1.0 - tail)
+
+
+def _greedy_cover(field: IndexedField, p: float, Z: float, sig_hat: float) -> EmpiricalCovering:
+    """Greedy cover of T in the normalized distance r_hat = r_{p,Z} / sigma_hat."""
+    r_mat = distance_r_matrix(field, p, Z)
+    return EmpiricalCovering.from_distance_matrix(r_mat / sig_hat if sig_hat > 0.0 else r_mat)
 
 
 def _default_thetas(sig_hat: float) -> tuple[np.ndarray, bool]:
@@ -400,10 +399,7 @@ def nu_p_detail(
     if isinstance(source, IndexedField):
         sig_hat = sigma_hat(source, p, Z)
         if covering is None:
-            r_mat = distance_r_matrix(source, p, Z)
-            if sig_hat > 0.0:
-                r_mat = r_mat / sig_hat
-            covering = EmpiricalCovering.from_distance_matrix(r_mat)
+            covering = _greedy_cover(source, p, Z, sig_hat)
     else:
         sig_hat = float(source)
         if not 0.0 <= sig_hat < math.inf:  # NaN fails it too
@@ -440,7 +436,8 @@ def nu_p(source, p: float, Z: float, covering=None, theta_grid=None) -> float:
 def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
     """Moment envelope g(L) = nu_p(L/p) over L = p * Z_grid, for the block-sum bound.
 
-    The Z grid (p with it) is checked whole before any Z is evaluated.
+    The Z grid (p with it) is checked whole before any Z is evaluated; each
+    Z's sigma_hat and greedy cover are computed once and handed to nu_p.
     """
     Z_grid = np.asarray(Z_grid, dtype=float)
     if Z_grid.ndim != 1 or Z_grid.size < 2:
@@ -451,15 +448,13 @@ def nu_envelope(field: IndexedField, p: float, Z_grid) -> MomentEnvelope:
     g = np.empty(Z_grid.size)
     rescaled_any = False
     for i, Z in enumerate(Z_grid):
-        thetas, rescaled = _default_thetas(sigma_hat(field, p, Z))
+        sig_hat = sigma_hat(field, p, Z)
+        thetas, rescaled = _default_thetas(sig_hat)
         rescaled_any |= rescaled
-        g[i] = nu_p(field, p, Z, theta_grid=thetas)
+        g[i] = nu_p(sig_hat, p, Z, _greedy_cover(field, p, Z, sig_hat), thetas)
     if rescaled_any:
         warnings.warn(
             "sigma_hat >= 1 on part of the Z grid; theta scans rescaled into (0, 1/sigma_hat)",
             stacklevel=2,
         )
-    if np.any(np.isinf(g)):
-        bad = Z_grid[np.isinf(g)]
-        raise ValueError(f"nu_p diverges at Z = {bad.tolist()}; shrink or shift the Z grid")
     return MomentEnvelope(p * Z_grid, g, p * float(Z_grid[0]), "chained")

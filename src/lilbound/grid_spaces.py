@@ -116,8 +116,7 @@ def _lq_norm(x: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
     """
     if w.size == 1:
         return x[..., 0] * w[0] ** (1.0 / q)
-    powered = x * x if q == 2.0 else x**q
-    return (powered @ w) ** (1.0 / q)
+    return (x**q @ w) ** (1.0 / q)
 
 
 def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:

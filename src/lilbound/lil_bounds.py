@@ -173,9 +173,10 @@ def max_admissible_w(d: int) -> float:
 def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> BoundEvaluation:
     """Minimize the bound over the geometric partitions d = 2..16.
 
-    Each candidate d uses its maximal admissible w = sqrt(d) - 1e-9 (the bound
-    improves with w for fixed partition).  Ties break toward smaller d; if
-    every candidate is vacuous the result is 1.0 with the vacuous flag set.
+    Each candidate d uses w = sqrt(d) - 1e-9, the largest w with w^2 <= d.
+    The terms h(u v(A(k)) / w) grow with w, so this is the worst admissible
+    w for the partition, not the best.  Ties break toward smaller d; if every
+    candidate is vacuous the result is 1.0 with the vacuous flag set.
     Candidates are walked in order of d, and a walk is cut once its running
     sum reaches the best value so far: it could then at most tie, and ties go
     to the smaller d.  The result is the same as walking every candidate to

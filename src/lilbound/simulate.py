@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import betaincinv
 
 # perfbench's traced pass wraps rosenthal_upper and mixed_norm by their names in this
 # module; nothing calls these two names, so their perfbench counters read 0 until the
@@ -406,6 +405,7 @@ def clopper_pearson_upper(k: int, n: int) -> float:
         return 1.0
     if k == 0:
         return 1.0 - (1.0 - 0.99) ** (1.0 / n)
+    from scipy.special import betaincinv  # a third of a second of import, needed only here
     return float(betaincinv(k + 1, n - k, 0.99))
 
 

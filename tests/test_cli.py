@@ -79,6 +79,11 @@ def test_constants_subcommand_reports_requested_values(capsys):
     assert doc["doob_factor"] == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert doc["mixingale"] == pytest.approx(2.0, rel=1e-15)
 
+    # beta(k) = k^-3 at m = 2: m (sum_k beta(k))^(1/m) = 2 sqrt(zeta(3))
+    assert run(["constants", "--km-m", "2.0", "--km-power", "3.0,1.0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mixingale"] == pytest.approx(2.0 * math.sqrt(1.2020569031595942), rel=1e-10)
+
 
 def test_constants_subcommand_with_no_request_fails(capsys):
     assert run(["constants"]) == 1
@@ -124,6 +129,10 @@ def test_bound_subcommand_stdout_when_no_out(tmp_path, capsys):
     assert code == 0
     header, rows = _read_csv_rows(capsys.readouterr().out)
     assert header[0] == "u" and len(rows) == 3
+    # a one-point grid a:a:1 is the point a
+    assert run(["bound", "--envelope", env_path, "--u-grid", "5:5:1", "--d", "2"]) == 0
+    header, rows = _read_csv_rows(capsys.readouterr().out)
+    assert len(rows) == 1 and float(rows[0][0]) == 5.0
 
 
 def test_entropy_subcommand_tabulates_nu(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Chaining machinery: moment distances, coverings, and the entropy functional."""
 
+import json
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from lilbound import (
     rosenthal_upper,
 )
 from lilbound import entropy_ct
+from lilbound.cli import run
 from lilbound.entropy_ct import DEFAULT_ALPHAS, DEFAULT_THETA_GRID
 from lilbound.grid_spaces import _moment_root
 
@@ -99,6 +101,50 @@ def _square_distance_r_matrix(field, p, Z):
     out = 2.0 * p * best
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _smooth_field(seed, nx, nt) -> IndexedField:
+    # Two-outcome field whose slices move smoothly in t, so neighbouring t lie
+    # close in the chaining distance and the smallest greedy radius is small.
+    # Its amplitude puts sigma_hat above 1, so the theta scan is rescaled and
+    # theta * sigma_hat reaches 0.95, past that radius.
+    rng = np.random.default_rng(seed)
+    q = 0.4
+    xw = rng.uniform(0.2, 1.0, nx)
+    phase = rng.uniform(0.2, 1.0, nx)[:, None] * np.linspace(0.0, 1.0, nt) + rng.uniform(0.0, 1.0, nx)[:, None]
+    v1 = np.sin(2.0 * np.pi * phase)
+    vals = np.stack([v1, -v1 * q / (1.0 - q)], axis=-1)
+    return IndexedField(GridMeasureSpace(xw / xw.sum()), np.array([q, 1.0 - q]), vals)
+
+
+def _reference_inner_sum(covering, s, theta, Z, k_max=4000):
+    # sum_{k <= k_max} theta^(k-1) N^(1/Z)(s^k) term by term, in log space: the
+    # log radius k log s is compared with the log thresholds, so no radius or
+    # covering number under- or overflows.  The cases below keep theta and the
+    # pure-power ratio at most 0.9 and every cut far below k_max, so the terms
+    # left out are below 1e-100 of the sum.
+    k = np.arange(1.0, k_max + 1.0)
+    log_r = k * math.log(s)
+    if isinstance(covering, AnalyticCovering):
+        log_cd = math.log(covering.C_cov) + math.log(covering.D)
+        log_n = covering.dim * np.maximum(0.0, log_cd - log_r / covering.l)
+    else:
+        log_n = np.log1p(np.count_nonzero(np.log(covering.thresholds) > log_r[:, None], axis=1))
+    return math.exp(logsumexp((k - 1.0) * math.log(theta) + log_n / Z))
+
+
+def _reference_nu(sig_hat, p, Z, covering, thetas):
+    # nu_p(Z) = (sigma_hat min_theta sum_k ...)^(1/p) with the reference inner
+    # sums, and the theta that attains it
+    sums = [_reference_inner_sum(covering, theta * sig_hat, theta, Z) for theta in thetas]
+    i = int(np.argmin(sums))
+    return (sig_hat * sums[i]) ** (1.0 / p), thetas[i]
+
+
+def _assert_upper_and_close(got, ref):
+    # rounding may put the closed form above the term sum, hardly below it
+    rel = (got - ref) / ref
+    assert -1e-13 <= rel <= 1e-12, (got, ref)
 
 
 def _log_space_root(a, w, v):
@@ -226,6 +272,97 @@ def test_nu_envelope_is_the_square_form_byte_for_byte():
     assert g.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("s_above_one", [False, True], ids=["s<1", "s>1"])
+@pytest.mark.parametrize("kind", ["empirical", "analytic"])
+def test_inner_sums_match_a_brute_force_sum(kind, s_above_one):
+    # Covers whose radii s^k cross a threshold (a greedy radius, or eps_one)
+    # past k = 1, so the sum has more than one geometric block.
+    rng = np.random.default_rng(20260860 + 2 * (kind == "analytic") + s_above_one)
+    checked = diverged = 0
+    while checked < 60:
+        theta, Z = rng.uniform(0.05, 0.9), rng.uniform(1.0, 30.0)
+        s = math.exp(rng.uniform(0.01, 2.0) if s_above_one else -rng.uniform(0.02, 3.0))
+        if kind == "empirical":
+            # t = s^u lies past s for u > 1, where s^k crosses it at k >= 2
+            u = rng.uniform(0.0, 40.0, rng.integers(1, 40))
+            if not np.any(u > 1.0):
+                continue
+            cov = EmpiricalCovering(np.sort(s**u)[::-1])
+        else:
+            cov = AnalyticCovering(
+                D=math.exp(rng.uniform(-30.0, 8.0)),
+                dim=int(rng.integers(1, 4)),
+                l=rng.uniform(0.3, 1.0),
+                C_cov=rng.uniform(0.5, 2.0),
+            )
+            if (s > cov.eps_one) == s_above_one:  # one ball from k = 1 (s > 1) or no N = 1 block (s < 1)
+                continue
+            ratio = theta * s ** (-cov.dim / (cov.l * Z))
+            if 0.9 < ratio < 1.0:  # too slow for the reference sum; ratio >= 1 must give inf
+                continue
+        sig = s / theta
+        got = nu_p_detail(sig, 2.0, Z, covering=cov, theta_grid=[theta]).inner_sums[0]
+        if kind == "analytic" and ratio >= 1.0:
+            assert got == math.inf
+            diverged += 1
+            continue
+        _assert_upper_and_close(got, _reference_inner_sum(cov, theta * sig, theta, Z))
+        checked += 1
+    if kind == "analytic" and not s_above_one:
+        assert diverged > 0
+    # s = 1: every radius is 1, and N(1) is the same at every k
+    got = nu_p_detail(2.0, 2.0, Z, covering=cov, theta_grid=[0.5]).inner_sums[0]
+    _assert_upper_and_close(got, _reference_inner_sum(cov, 1.0, 0.5, Z))
+
+
+def test_divergent_analytic_sum_is_inf():
+    # theta s^(-dim/(l Z)) = 0.95 / 0.475 = 2: past eps_one = 1e-250 the terms
+    # grow.  A term loop with a relative stop ended inside the N = 1 prefix
+    # and reported nu_p = 3.16 here.
+    cov = AnalyticCovering(D=1e-250, dim=1)
+    detail = nu_p_detail(0.5, 2.0, 1.0, covering=cov, theta_grid=[0.95])
+    assert detail.inner_sums.tolist() == [math.inf]
+    assert detail.value == math.inf
+
+
+def test_nu_envelope_on_a_smooth_field_matches_the_brute_force_sum():
+    # g from the same sigma_hat, theta scan and greedy cover; on part of the Z
+    # grid the best theta puts s = theta sigma_hat above the smallest greedy
+    # radius, so g there comes from an inner sum with more than one block.
+    field = _smooth_field(3, 4, 16)
+    p, Z_grid = 2.0, np.geomspace(1.0, 100.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        g = nu_envelope(field, p, Z_grid).g_values
+    unsaturated = 0
+    for Z, g_Z in zip(Z_grid, g):
+        sig = sigma_hat(field, p, Z)
+        cov = EmpiricalCovering.from_distance_matrix(distance_r_matrix(field, p, Z) / sig)
+        nu, theta = _reference_nu(sig, p, Z, cov, np.asarray(DEFAULT_THETA_GRID) / max(sig, 1.0))
+        unsaturated += cov.thresholds[-1] < theta * sig
+        _assert_upper_and_close(g_Z, nu)
+    assert unsaturated >= 4
+
+
+def test_entropy_cli_theta_grid_past_one(tmp_path, capsys):
+    # sigma_hat is 3.6 to 4.8, so every theta puts s = theta sigma_hat above 1,
+    # where the radii s^k grow past the greedy radii 2 to 40 one by one
+    cov = EmpiricalCovering(np.array([40.0, 20.0, 5.0, 2.0, 0.5]))
+    cov_path = tmp_path / "cov.json"
+    cov_path.write_text(json.dumps(covering_to_json(cov)))
+    argv = ["entropy", "--covering", str(cov_path), "--p", "2", "--z-grid", "1:3:3", "--theta-grid", "0.3,0.6,0.9"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "Z,sigma_bar,sigma_hat,nu_p,theta"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 3
+    for Z, sig_bar, sig, nu, theta in rows:
+        assert sig == rosenthal_upper(2.0 * Z) ** 2 * sig_bar and 0.3 * sig > 1.0
+        ref, ref_theta = _reference_nu(sig, 2.0, Z, cov, (0.3, 0.6, 0.9))
+        _assert_upper_and_close(nu, ref)
+        assert theta == ref_theta
+
+
 def test_empirical_covering_counts_greedy_centers():
     # Three distinct points on a line at 0, 1, 10 (counting metric).
     dist = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 9.0], [10.0, 9.0, 0.0]])
@@ -250,6 +387,8 @@ def test_analytic_covering_power_law():
     assert cov.n(eps) == pytest.approx(expected, rel=1e-12)
     assert cov.n(cov.eps_one * 1.01) == 1.0
     assert AnalyticCovering(D=0.0, dim=2).n(1e-9) == 1.0
+    # far past eps_one: eps^(1/l) would overflow, but one ball covers the set
+    assert AnalyticCovering(D=1.0, dim=1, l=0.5).n(1e200) == 1.0
 
 
 def test_covering_json_round_trip():

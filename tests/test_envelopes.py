@@ -160,6 +160,17 @@ def test_two_point_gaussian_envelope_matches_log_space_closed_form():
         assert env.g(L) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["rademacher", "weibull"])
+@pytest.mark.parametrize("n_points", [1, 3], ids=["one-point", "three-point"])
+def test_martingale_envelope_is_the_iid_envelope_times_one_plus_kappa(family, n_points):
+    # the martingale steps are the iid ones times at most 1 + kappa
+    space = (GridMeasureSpace(np.full(n_points, 1.0 / n_points)),)
+    iid = envelope_for_field_spec(FieldSpec(family=family, spaces=space, beta=1.5))
+    mart = envelope_for_field_spec(FieldSpec(family=family, spaces=space, beta=1.5, dependence="martingale", kappa=0.3))
+    for L in (2.0, 7.5, 1e3, 1e7):
+        assert mart.g(L) == pytest.approx(1.3 * iid.g(L), rel=1e-14)
+
+
 def test_grid_envelope_rejects_evaluation_outside_span():
     env = MomentEnvelope([2.0, 4.0], [1.0, 2.0], 2.0)
     with pytest.raises(ValueError):

@@ -416,21 +416,28 @@ def test_envelope_rejects_cl_norm_spec():
 
 
 def test_field_spec_json_round_trip():
-    spec = FieldSpec(
-        family="gaussian",
-        spaces=(GridMeasureSpace(np.array([0.5, 0.5])), GridMeasureSpace(np.array([1.0, 1.0, 1.0]))),
-        norm_kind="mixed",
-        p=(2.0, 3.0),
-        sigma=0.7,
-    )
-    back = FieldSpec.from_json(spec.to_json())
-    assert back.family == spec.family
-    assert back.norm_kind == spec.norm_kind
-    assert back.p == spec.p
-    assert [s.weights.tolist() for s in back.spaces] == [
-        s.weights.tolist() for s in spec.spaces
+    one = (GridMeasureSpace(np.array([0.4, 0.6])),)
+    specs = [
+        FieldSpec(
+            family="gaussian",
+            spaces=(GridMeasureSpace(np.array([0.5, 0.5])), GridMeasureSpace(np.array([1.0, 1.0, 1.0]))),
+            norm_kind="mixed",
+            p=(2.0, 3.0),
+            sigma=0.7,
+        ),
+        # each writes one more optional field: a, kappa, t_size
+        FieldSpec(family="uniform", spaces=one, a=0.7),
+        FieldSpec(family="rademacher", spaces=one, dependence="martingale", kappa=0.3),
+        FieldSpec(family="weibull", spaces=one, norm_kind="cl", t_size=3, beta=1.5),
     ]
-    assert np.array_equal(back.sigma, spec.sigma)
+    for spec in specs:
+        back = FieldSpec.from_json(spec.to_json())
+        for name in ("family", "norm_kind", "p", "a", "beta", "dependence", "kappa", "t_size"):
+            assert getattr(back, name) == getattr(spec, name), name
+        assert [s.weights.tolist() for s in back.spaces] == [
+            s.weights.tolist() for s in spec.spaces
+        ]
+        assert np.array_equal(back.sigma, spec.sigma)
 
 
 def test_field_spec_validation():
