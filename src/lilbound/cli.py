@@ -37,7 +37,7 @@ from .simulate import EmpiricalCurve, FieldSpec, dominance_report, empirical_Q, 
 
 __all__ = ["RunConfig", "run", "main"]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 @dataclass
@@ -170,8 +170,9 @@ def _cmd_bound(args) -> int:
         curve.w_values,
         curve.truncation_k,
         curve.vacuous_flags.astype(int),
+        curve.diverged_flags.astype(int),
     )
-    _write_csv(args.out, ["u", "bound", "d", "w", "truncation_k", "vacuous_flag"], rows)
+    _write_csv(args.out, ["u", "bound", "d", "w", "truncation_k", "vacuous_flag", "diverged"], rows)
     return 0
 
 

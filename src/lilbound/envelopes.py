@@ -55,13 +55,17 @@ class MomentEnvelope:
 
     Analytic envelopes carry a callable and use it everywhere; grid-backed
     envelopes interpolate log g linearly in log L between grid points and are
-    only evaluated inside the grid span.
+    only evaluated inside the grid span.  r0 states that the block series
+    built on g diverges for every norming power r < r0 (see lil_bounds); 0
+    claims nothing.  Envelopes built from field moments set r0 = 1, since
+    their g grows at least like L / log L.
     """
 
     L_grid: np.ndarray
     g_values: np.ndarray
     domain_low: float
     label: str = ""
+    r0: float = 0.0
     _g_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _log_g_grid: np.ndarray = field(init=False, repr=False)
     _log_L_grid: np.ndarray = field(init=False, repr=False)
@@ -80,9 +84,13 @@ class MomentEnvelope:
             raise ValueError("evaluation grid must start at or above domain_low")
         if np.any(~np.isfinite(g)) or np.any(g < 0.0):
             raise ValueError("g must be finite and nonnegative on the grid")
+        r0 = float(self.r0)
+        if not (math.isfinite(r0) and r0 >= 0.0):
+            raise ValueError(f"r0 must be finite and >= 0, got {r0}")
         self.L_grid = L
         self.g_values = g
         self.domain_low = domain_low
+        self.r0 = r0
         with np.errstate(divide="ignore"):
             self._log_g_grid = np.log(g)
         self._log_L_grid = np.log(L)
@@ -94,6 +102,7 @@ class MomentEnvelope:
         domain_low: float,
         L_grid=None,
         label: str = "",
+        r0: float = 0.0,
     ) -> "MomentEnvelope":
         if L_grid is None:
             lo = float(domain_low)
@@ -102,7 +111,7 @@ class MomentEnvelope:
             L_grid = np.geomspace(lo, _DEFAULT_GRID_TOP, _DEFAULT_GRID_POINTS)
         L_grid = np.asarray(L_grid, dtype=float)
         g_values = np.array([float(g_fn(L)) for L in L_grid])
-        return cls(L_grid, g_values, domain_low, label, _g_fn=g_fn)
+        return cls(L_grid, g_values, domain_low, label, r0, _g_fn=g_fn)
 
     def g(self, L: float) -> float:
         lg = self.log_g(L)
@@ -172,7 +181,8 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     martingale mode only inflates moments by its amplitude cap (1 + kappa);
     the Rosenthal constant used is the independent-summand one, so treat
     martingale envelopes as exploratory.  cl norms need the chaining
-    machinery instead and are rejected here.
+    machinery instead and are rejected here.  r0 is 1 unless the field
+    vanishes (every moment is 0), in which case g = 0 and the bound is 0.
     """
     if spec.norm_kind == "cl":
         raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
@@ -194,13 +204,16 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
             spec.spaces,
             None if lp else spec.p,
         )
-    return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}")
+    r0 = 1.0 if np.any(_log_abs_moment(spec, p_low) > -math.inf) else 0.0
+    return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=r0)
 
 
 def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> MomentEnvelope:
     """Grid envelope from the exact moments of xi on X x Omega (Omega = last axis).
 
     p_vec None takes the L-norm over one X axis, else the p_vec mixed norm.
+    r0 is 1 unless g vanishes at the knots, which happens only for a field
+    that is 0 everywhere and then at every L.
     """
     if p_low < 2.0:
         raise ValueError("the bound machinery assumes a largest norm exponent >= 2")
@@ -216,7 +229,7 @@ def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> 
     values = np.transpose(xi.values, tuple(range(n_x - 1, -1, -1)) + (n_x,))
     g = _field_g(_moment_root(values, omega.weights), xi.axes[:-1], p_vec)
     g_values = np.array([g(L) for L in L_grid])
-    return MomentEnvelope(L_grid, g_values, p_low)
+    return MomentEnvelope(L_grid, g_values, p_low, r0=1.0 if g_values.any() else 0.0)
 
 
 def envelope_from_field(xi: GridFunction, p: float, L_grid) -> MomentEnvelope:
@@ -395,14 +408,21 @@ def grid_scan_tails(env: MomentEnvelope, log_z: np.ndarray) -> np.ndarray:
 
 
 def envelope_to_json(env: MomentEnvelope) -> dict:
-    """JSON form of an envelope; "kind" and "L0" are informational, "p" is domain_low."""
-    return {
+    """JSON form of an envelope; "kind" and "L0" are informational, "p" is domain_low.
+
+    "r0" is written only when it is > 0, so an envelope that claims nothing
+    keeps the document it had before r0 existed.
+    """
+    doc = {
         "kind": "grid" if env._g_fn is None else "analytic",
         "L0": None,
         "L_grid": env.L_grid.tolist(),
         "g_values": env.g_values.tolist(),
         "p": env.domain_low,
     }
+    if env.r0 > 0.0:
+        doc["r0"] = env.r0
+    return doc
 
 
 def envelope_from_json(doc: dict) -> MomentEnvelope:
@@ -411,7 +431,8 @@ def envelope_from_json(doc: dict) -> MomentEnvelope:
     Deserialized envelopes are grid-backed (log-linear in log L between grid
     points) regardless of origin; the optimizer then searches the grid span.
     A legacy "p_vec" stands for its largest exponent.  "L0", if given, must
-    be null or at least the top knot: the bound reads g at every knot.
+    be null or at least the top knot: the bound reads g at every knot.  A
+    missing "r0" is 0; a given one must be a finite number >= 0.
     """
     try:
         if "p_vec" in doc:
@@ -419,7 +440,10 @@ def envelope_from_json(doc: dict) -> MomentEnvelope:
         else:
             domain_low = float(_json_number(doc["p"], "p"))
         env = MomentEnvelope(
-            _json_number(doc["L_grid"], "L_grid"), _json_number(doc["g_values"], "g_values"), domain_low
+            _json_number(doc["L_grid"], "L_grid"),
+            _json_number(doc["g_values"], "g_values"),
+            domain_low,
+            r0=float(_json_number(doc.get("r0", 0.0), "r0")),
         )
         L0 = doc.get("L0")
         if L0 is not None and not float(_json_number(L0, "L0")) >= env.L_grid[-1]:

@@ -9,6 +9,25 @@ where A(k) are the partition block starts, v the norming sequence and w the
 class-Y(w) parameter.  One assembly, upper_bound, serves the plain (G),
 mixed-norm (F) and entropy-functional (Theta) bounds of the paper; they
 differ only in how the envelope fed to the tail conversion was built.
+
+Where the series provably diverges the walk is skipped.  An envelope with
+r0 > 0 claims that the series diverges for every norming power r < r0;
+every field envelope claims r0 = 1, by this argument:
+
+* Lower growth of g.  A field envelope is g(L) = 2 K_R(L) root(L) with
+  K_R(L) = C L / (e log L) and root(L) the moment root of the field, which
+  is >= c > 0 for all L >= p unless the field is 0 (then g = 0, r0 = 0 and
+  every bound is 0).  So g(L) >= c1 L / log L with c1 = 2 C c / e.
+* Bound on log h.  log h(z) is the infimum of L log(g(L) / z), and with
+  L* the root of c1 L* / log L* = z this is > 0 for L > L* and, for
+  L <= L*, >= L log(c1 L / (z log L*)) >= -z log L* / (c1 e).  Since
+  log L* ~ log z, log h(z) >= -c2 z log z for large z and some c2 > 0.
+  Restricting L to a grid span, as the tail conversion does, takes the
+  infimum over fewer L: it only makes h larger, and the bound still holds.
+* Terms.  With v(A(k)) ~ (ln k)^r the term a_k = h(u v(A(k)) / w) has
+  log a_k >= -c3 (ln k)^r ln ln k, which is o(ln k) for r < 1.
+* Divergence.  So k a_k -> infinity, a_k > 1/k for all large k, and the sum
+  is infinite: the only bound is 1, flagged diverged.
 """
 
 from __future__ import annotations
@@ -54,9 +73,12 @@ class BoundEvaluation:
     """One bound value with its bookkeeping.
 
     value is always a valid probability bound: 1.0 when the series is vacuous
-    or fails to truncate (diverged), in which case the corresponding flag is
-    set.  terms is the truncation index (number of block terms summed); d and
-    w are the geometric partition and class parameter the value was summed with.
+    or diverged, in which case the corresponding flag is set (a diverged
+    value is vacuous too).  Diverged means that the norming power lies below
+    the envelope's r0, where the walk is skipped and terms is 0, or that the
+    series failed to truncate within 10,000 terms.  Otherwise terms is the
+    truncation index (number of block terms summed); d and w are the
+    geometric partition and class parameter the value was summed with.
     """
 
     value: float
@@ -108,9 +130,13 @@ def _sum_block_tails(
 
     Every term is >= 0, so the running sum never exceeds the final value: a
     walk cut off at its cutoff could at most tie it.  With the cutoff at 1
-    the walk is never cut; reaching 1 makes the value vacuous.
+    the walk is never cut; reaching 1 makes the value vacuous.  Below the
+    envelope's r0 the series diverges (see the module docstring), and the
+    value is 1 without a term.
     """
     d = partition.d
+    if norming.r < env.r0:
+        return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True) if cutoff >= 1.0 else None
     total = 0.0
     log_scale = math.log(u / w)
     k = 0
@@ -154,7 +180,9 @@ def upper_bound(
     violation raises, naming the first block whose ratio drops below w^2).
     The series truncates when a term falls below 1e-16 of the running sum;
     if that never happens within 10,000 terms the bound is reported as
-    diverged with value 1.0 (still a valid probability bound).
+    diverged with value 1.0 (still a valid probability bound).  When the
+    norming power is below env.r0 the series provably diverges: the result
+    is the same 1.0, flagged diverged, with terms 0 and no term evaluated.
     """
     u = _require_u(u)
     verdict = class_Y_check(partition, w)
@@ -212,9 +240,11 @@ def _check_u_grid(u: np.ndarray) -> None:
 class TailBoundCurve:
     """Evaluated bound curve u -> value with per-point provenance.
 
-    d_values/w_values/truncation_k/vacuous_flags are per-point when the curve
-    was optimized per u (they may still be constant); provenance carries the
-    scalar metadata (optimized or not, norming power, envelope label).
+    d_values/w_values/truncation_k/vacuous_flags/diverged_flags are
+    per-point when the curve was optimized per u (they may still be
+    constant); a vacuous flag is set on diverged points too.  provenance
+    carries the scalar metadata (optimized or not, norming power, envelope
+    label).
     """
 
     u_grid: np.ndarray
@@ -224,6 +254,7 @@ class TailBoundCurve:
     w_values: Optional[np.ndarray] = None
     truncation_k: Optional[np.ndarray] = None
     vacuous_flags: Optional[np.ndarray] = None
+    diverged_flags: Optional[np.ndarray] = None
 
     def __post_init__(self):
         u = np.asarray(self.u_grid, dtype=float)
@@ -269,6 +300,7 @@ def evaluate_bound_curve(
         np.array([ev.w for ev in evals], dtype=float),
         np.array([ev.terms for ev in evals], dtype=int),
         np.array([ev.vacuous or ev.diverged for ev in evals], dtype=bool),
+        np.array([ev.diverged for ev in evals], dtype=bool),
     )
 
 

@@ -112,12 +112,30 @@ def test_bound_subcommand_writes_curve_csv(tmp_path, capsys):
     )
     assert code == 0
     header, rows = _read_csv_rows(out_path.read_text())
-    assert header == ["u", "bound", "d", "w", "truncation_k", "vacuous_flag"]
+    assert header == ["u", "bound", "d", "w", "truncation_k", "vacuous_flag", "diverged"]
     assert len(rows) == 5
     values = [float(r[1]) for r in rows]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert float(rows[0][0]) == pytest.approx(math.e, rel=1e-12)
+
+
+def test_bound_rows_below_r0_are_diverged_without_a_walk(tmp_path, capsys):
+    # a field envelope carries r0 = 1: at r = 1/2 every row is 1, flagged
+    # vacuous and diverged, with truncation_k 0; at r = 1 it walks
+    spec = FieldSpec(family="rademacher", spaces=(GridMeasureSpace(np.array([1.0])),), p=2.0)
+    doc = envelope_to_json(envelope_for_field_spec(spec))
+    assert doc["r0"] == 1.0
+    env_path = _write_json(tmp_path / "env.json", doc)
+    assert run(["bound", "--envelope", env_path, "--u-grid", "e:60:4", "--optimize", "--r", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["format_version"] == "2"
+    _, rows = _read_csv_rows(captured.out)
+    assert [r[1:3] + r[4:] for r in rows] == [["1", "2", "0", "1", "1"]] * 4
+    assert run(["bound", "--envelope", env_path, "--u-grid", "e:60:4", "--optimize", "--r", "1.0"]) == 0
+    _, rows = _read_csv_rows(capsys.readouterr().out)
+    assert all(r[6] == "0" and int(r[4]) > 0 for r in rows)
+    assert float(rows[-1][1]) < 1.0
 
 
 def test_bound_subcommand_stdout_when_no_out(tmp_path, capsys):
@@ -358,13 +376,16 @@ _NORM = ["norm", "--function", "{}", "--p", "2"]
         (_BOUND, {**_ENVELOPE, "p": True}),
         (_BOUND, {**_ENVELOPE, "L_grid": ["2", 4]}),
         (_BOUND, {**_ENVELOPE, "g_values": [True, 2]}),
+        (_BOUND, {**_ENVELOPE, "r0": True}),
+        (_BOUND, {**_ENVELOPE, "r0": "1.0"}),
         (_ENTROPY, {"kind": "empirical", "thresholds": [True, "0.5"]}),
         (_NORM, {"axes": [{"size": 2, "weights": [0.5, 0.5]}], "values": ["1", True]}),
     ],
     ids=[
         "D-bool", "D-string", "l-bool", "C_cov-bool", "a-bool", "a-string", "beta-bool", "kappa-bool",
         "p-bool", "p-string", "sigma-bool", "weights-string-bool", "envelope-p-bool", "L_grid-string",
-        "g_values-bool", "thresholds-bool-string", "values-string-bool",
+        "g_values-bool", "thresholds-bool-string", "values-string-bool", "envelope-r0-bool",
+        "envelope-r0-string",
     ],
 )
 def test_float_json_field_that_is_not_a_number_is_an_error(tmp_path, capsys, argv, doc):
@@ -402,8 +423,14 @@ _ANALYTIC = {"kind": "analytic", "D": 1.0, "d": 1}
         (_ENTROPY + ["--sigma-coeff", "nan"], _ANALYTIC),
         (_ENTROPY + ["--sigma-coeff", "inf"], _ANALYTIC),
         (_BOUND, {**_ENVELOPE, "p": math.nan}),
+        (_BOUND, {**_ENVELOPE, "r0": math.nan}),
+        (_BOUND, {**_ENVELOPE, "r0": math.inf}),
+        (_BOUND, {**_ENVELOPE, "r0": -1.0}),
     ],
-    ids=["D-nan", "D-inf", "C_cov-nan", "thresholds-nan", "sigma-coeff-nan", "sigma-coeff-inf", "envelope-p-nan"],
+    ids=[
+        "D-nan", "D-inf", "C_cov-nan", "thresholds-nan", "sigma-coeff-nan", "sigma-coeff-inf", "envelope-p-nan",
+        "envelope-r0-nan", "envelope-r0-inf", "envelope-r0-negative",
+    ],
 )
 def test_entropy_and_bound_reject_a_non_finite_input(tmp_path, capsys, argv, doc):
     # each used to exit 0: entropy printed finite rows for the NaN covering

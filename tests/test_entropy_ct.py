@@ -260,7 +260,10 @@ def test_nu_envelope_is_the_square_form_byte_for_byte():
     p, Z_grid = 2.0, np.geomspace(1.0, 800.0, 32)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        g = nu_envelope(field, p, Z_grid).g_values
+        env = nu_envelope(field, p, Z_grid)
+    g = env.g_values
+    # a chained envelope claims no r0 yet: its r = 1/2 series are still walked
+    assert env.r0 == 0.0
     ref = np.empty(Z_grid.size)
     for i, Z in enumerate(Z_grid):
         sig = sigma_hat(field, p, Z)

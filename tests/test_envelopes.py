@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lilbound import (
+    C_ROSENTHAL,
     mixed_norm,
     FieldSpec,
     GridFunction,
@@ -190,6 +191,9 @@ def test_envelope_validation_errors():
         MomentEnvelope([2.0, 4.0, math.inf], [1.0, 1.0, 1.0], 2.0)  # infinite knot
     with pytest.raises(ValueError):
         MomentEnvelope([2.0, math.nan, 8.0], [1.0, 1.0, 1.0], 2.0)  # NaN knot
+    for r0 in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="r0 must be finite"):
+            MomentEnvelope([2.0, 4.0], [1.0, 2.0], 2.0, r0=r0)
 
 
 def test_envelope_json_round_trip_preserves_tails():
@@ -364,3 +368,91 @@ def test_callable_refinement_is_cheap_and_matches_a_dense_scan(spec, monkeypatch
     evaluate_bound_curve(env, NormingSequence.iterated_log(1.0), np.geomspace(math.e, 60.0, 8), optimize=True)
     assert calls["tail"] > 100
     assert calls["log_g"] / calls["tail"] <= 15.0
+
+
+_SCALAR = (GridMeasureSpace(np.array([1.0])),)
+_TWO = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6])))
+_THREE = (GridMeasureSpace(np.array([0.3, 0.2, 0.5])),)
+
+
+def _point_floor(weights, sd) -> float:
+    """max over x of prod_i min(1, mu_i(x_i))^(1/2) * sd(x), a floor under every norm of the roots.
+
+    For q >= 2, an lq norm of a nonnegative f is >= mu(x)^(1/q) f(x) >=
+    min(1, mu(x))^(1/2) f(x) at each x, and iterating over the factors gives
+    the product; each moment root of order L >= 2 is >= the standard
+    deviation sd(x) (Lyapunov, Omega a probability space).  weights holds
+    one array per X axis, in the order of sd's axes.
+    """
+    scale = np.ones(())
+    for w in weights:
+        scale = np.multiply.outer(np.sqrt(np.minimum(1.0, w)), scale)
+    return float((scale.T * sd).max())
+
+
+def _spec_floor(spec) -> float:
+    if spec.family == "rademacher":
+        sd = 1.0
+    elif spec.family == "uniform":
+        sd = spec.a / math.sqrt(3.0)
+    elif spec.family == "gaussian":
+        sd = np.asarray(spec.sigma, dtype=float)
+    else:
+        sd = math.sqrt(math.gamma(2.0 / spec.beta + 1.0))
+    shape = tuple(sp.size for sp in spec.spaces)
+    return _point_floor([sp.weights for sp in spec.spaces], np.broadcast_to(sd, shape))
+
+
+def _field_floor(xi) -> float:
+    sd = np.sqrt(xi.values**2 @ xi.axes[-1].weights)
+    return _point_floor([ax.weights for ax in xi.axes[:-1]], sd)
+
+
+def _centered(rng, shape, omega):
+    vals = rng.normal(size=shape)
+    return vals - (vals @ omega.weights)[..., None]
+
+
+def _field_envelope_cases():
+    rng = np.random.default_rng(20261019)
+    for spec in (
+        FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0),
+        FieldSpec(family="uniform", spaces=_SCALAR, a=0.3, p=2.0),
+        FieldSpec(family="gaussian", spaces=_THREE, sigma=np.array([0.5, 3.0, 1.0]), p=2.0),
+        FieldSpec(family="weibull", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), beta=1.5),
+        FieldSpec(family="rademacher", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), dependence="martingale"),
+    ):
+        yield f"spec-{spec.family}-{spec.norm_kind}", envelope_for_field_spec(spec), _spec_floor(spec)
+    omega = GridMeasureSpace.uniform_probability(3)
+    x = GridMeasureSpace(rng.uniform(0.2, 1.0, 4))
+    xi = GridFunction((x, omega), _centered(rng, (4, 3), omega))
+    yield "from-field", envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e8, 65)), _field_floor(xi)
+    x2 = GridMeasureSpace(rng.uniform(0.5, 2.0, 2))
+    xi = GridFunction((x, x2, omega), _centered(rng, (4, 2, 3), omega))
+    yield "mixed-from-field", mixed_envelope_from_field(xi, (2.0, 3.0), np.geomspace(3.0, 1e8, 65)), _field_floor(xi)
+
+
+def test_field_envelopes_grow_at_least_like_L_over_log_L_at_every_knot():
+    # the fact behind r0 = 1 (lil_bounds docstring): g(L) >= c1 L / log L with
+    # c1 = 2 C_R m / e > 0, m a floor under the moment root of the field
+    for name, env, floor in _field_envelope_cases():
+        L = env.L_grid
+        assert env.r0 == 1.0, name
+        assert floor > 0.0, name
+        lower = (2.0 * C_ROSENTHAL / math.e) * floor * L / np.log(L)
+        assert np.all(env.g_values >= lower * (1.0 - 1e-12)), name
+
+
+def test_a_vanishing_field_claims_no_r0():
+    scalar_zero = FieldSpec(family="uniform", spaces=_SCALAR, a=0.0, p=2.0)
+    sigma_zero = FieldSpec(family="gaussian", spaces=_THREE, sigma=np.zeros(3), p=2.0)
+    omega = GridMeasureSpace(np.array([0.5, 0.5]))
+    xi = GridFunction((GridMeasureSpace(np.array([1.0, 2.0])), omega), np.zeros((2, 2)))
+    for env in (
+        envelope_for_field_spec(scalar_zero),
+        envelope_for_field_spec(sigma_zero),
+        envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e4, 9)),
+        mixed_envelope_from_field(xi, (2.0,), np.geomspace(2.0, 1e4, 9)),
+    ):
+        assert env.r0 == 0.0 and not env.g_values.any()
+        assert "r0" not in envelope_to_json(env)

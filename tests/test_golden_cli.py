@@ -3,9 +3,11 @@
 The files under tests/fixtures/ were written by the code before the block
 walk, the simulation entry point and the field-spec envelopes were
 consolidated; a refactor that changes any printed digit fails here.  The
-bound CSVs cover vacuous rows (truncation_k 1), diverged rows (10000),
-walks that stop inside the refined prefix (k <= 32) and walks that reach
-the batched grid scans (k > 32).
+bound CSVs cover points skipped below the envelope's r0 (truncation_k 0),
+vacuous rows (1), diverged rows (10000), walks that stop inside the
+refined prefix (k <= 32) and walks that reach the batched grid scans
+(k > 32).  The legacy envelope is the field-spec envelope's document from
+before "r0" existed: read without it, r = 1/2 walks the series as it did.
 
 Regenerate (only for an intended output change, logged in CHANGES.md) with
 
@@ -23,11 +25,15 @@ from lilbound.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENVELOPE = "rademacher_lp_envelope.json"
+LEGACY_ENVELOPE = "rademacher_lp_envelope_legacy.json"
 SPEC = "rademacher_lp_spec.json"
 
-# output file -> CLI arguments; {env} and {spec} name the fixture inputs
+# output file -> CLI arguments; {env}, {legacy} and {spec} name the fixture inputs
 CASES = {
     "bound_optimize_r0.5.csv": ["bound", "--envelope", "{env}", "--optimize", "--u-grid", "e:40:9", "--r", "0.5"],
+    "bound_optimize_r0.5_legacy.csv": [
+        "bound", "--envelope", "{legacy}", "--optimize", "--u-grid", "e:40:9", "--r", "0.5",
+    ],
     "bound_optimize_r1.0.csv": ["bound", "--envelope", "{env}", "--optimize", "--u-grid", "e:40:9", "--r", "1.0"],
     "bound_d4_r1.0.csv": ["bound", "--envelope", "{env}", "--d", "4", "--r", "1.0"],
     "simulate_r0.5.csv": [
@@ -48,7 +54,8 @@ def _envelope_text() -> str:
 def _run_case(name: str, out_dir: Path) -> bytes:
     out = out_dir / name
     argv = [
-        a.format(env=FIXTURES / ENVELOPE, spec=FIXTURES / SPEC) for a in CASES[name]
+        a.format(env=FIXTURES / ENVELOPE, legacy=FIXTURES / LEGACY_ENVELOPE, spec=FIXTURES / SPEC)
+        for a in CASES[name]
     ] + ["--out", str(out)]
     assert run(argv) == 0
     return out.read_bytes()
@@ -69,7 +76,7 @@ def test_bound_fixtures_cover_every_walk_regime():
         if name.startswith("bound"):
             lines = (FIXTURES / name).read_text().splitlines()[1:]
             ks.update(int(line.split(",")[4]) for line in lines)
-    assert 1 in ks and 10_000 in ks
+    assert 0 in ks and 1 in ks and 10_000 in ks
     assert any(1 < k <= 32 for k in ks)
     assert any(32 < k < 10_000 for k in ks)
 

@@ -1,5 +1,6 @@
 """Block-sum tail bounds: assembly, truncation, optimization, shape fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -193,21 +194,26 @@ def _walk_kind(ev) -> str:
     return "short" if ev.terms <= lil_bounds._REFINED_TERMS else "batched"
 
 
+_FIELD_ENVELOPES = {
+    "rademacher-lp": lambda: envelope_for_field_spec(FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0)),
+    "uniform-mixed": lambda: envelope_for_field_spec(
+        FieldSpec(family="uniform", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0))
+    ),
+    "uniform-lp-grid": lambda: envelope_from_json(
+        envelope_to_json(envelope_for_field_spec(FieldSpec(family="uniform", spaces=_SCALAR, p=2.0)))
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "make_env",
     [
-        lambda: envelope_for_field_spec(FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0)),
-        lambda: envelope_for_field_spec(
-            FieldSpec(family="uniform", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0))
-        ),
-        lambda: envelope_from_json(
-            envelope_to_json(envelope_for_field_spec(FieldSpec(family="uniform", spaces=_SCALAR, p=2.0)))
-        ),
+        *_FIELD_ENVELOPES.values(),
         lambda: MomentEnvelope.from_callable(
             lambda L: 0.5 * L, domain_low=2.0, L_grid=np.geomspace(2.0, 1e8, 257)
         ),
     ],
-    ids=["rademacher-lp", "uniform-mixed", "uniform-lp-grid", "linear-callable"],
+    ids=[*_FIELD_ENVELOPES, "linear-callable"],
 )
 def test_optimize_bound_is_bitwise_the_exhaustive_minimum(make_env):
     # Cutting losing candidates early must not change a single bit of the
@@ -326,3 +332,94 @@ def test_fit_declines_degenerate_curves():
     u = np.geomspace(math.e, 100.0, 10)
     flat = TailBoundCurve(u, np.ones_like(u))
     assert fit_bound_shape(flat) is None
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_ENVELOPES))
+def test_below_r0_no_term_is_evaluated(name, monkeypatch):
+    # r = 1/2 lies below a field envelope's r0 = 1: every entry point returns
+    # 1, flagged vacuous and diverged, without one tail conversion
+    env = _FIELD_ENVELOPES[name]()
+    assert env.r0 == 1.0
+    calls = []
+    monkeypatch.setattr(lil_bounds, "tail_from_envelope", lambda *a: calls.append("tail"))
+    monkeypatch.setattr(lil_bounds, "grid_scan_tails", lambda *a: calls.append("scan"))
+    norming = _norming(0.5)
+    u_grid = [math.e, 12.0, 20.0, 60.0]
+    evs = [optimize_bound(env, norming, u) for u in u_grid]
+    evs += [upper_bound(env, geometric_partition(d), norming, max_admissible_w(d), 20.0) for d in (2, 16)]
+    for ev in evs:
+        assert (ev.value, ev.vacuous, ev.diverged, ev.terms) == (1.0, True, True, 0)
+    assert [ev.d for ev in evs] == [2, 2, 2, 2, 2, 16]
+    for optimize in (True, False):
+        curve = evaluate_bound_curve(env, norming, u_grid, optimize=optimize, d=3)
+        assert curve.values.tolist() == [1.0] * 4
+        assert curve.truncation_k.tolist() == [0] * 4
+        assert curve.vacuous_flags.all() and curve.diverged_flags.all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_ENVELOPES))
+def test_at_or_above_r0_the_walk_is_unchanged(name):
+    # r0 only skips walks below it: at r = 1 = r0 and above, every value, d,
+    # w, terms and flag is bitwise the one of the same g without the claim
+    env = _FIELD_ENVELOPES[name]()
+    plain = dataclasses.replace(env, r0=0.0)
+    assert plain.g_values.tobytes() == env.g_values.tobytes()
+    for r in (1.0, 1.5):
+        norming = _norming(r)
+        for u in (math.e, 12.0, 20.0, 60.0):
+            for ev, ref in (
+                (optimize_bound(env, norming, u), optimize_bound(plain, norming, u)),
+                (
+                    upper_bound(env, geometric_partition(4), norming, 2.0 - 1e-9, u),
+                    upper_bound(plain, geometric_partition(4), norming, 2.0 - 1e-9, u),
+                ),
+            ):
+                assert ev == ref and ev.value.hex() == ref.value.hex()
+    curve, ref = (evaluate_bound_curve(e, _norming(1.0), [12.0, 60.0], optimize=True) for e in (env, plain))
+    assert not curve.diverged_flags.any() and (curve.truncation_k > 0).all()
+    assert curve.values.tobytes() == ref.values.tobytes()
+
+
+def test_a_zero_field_still_bounds_by_zero():
+    spec = FieldSpec(family="uniform", spaces=_SCALAR, a=0.0, p=2.0)
+    for env in (envelope_for_field_spec(spec), envelope_from_json(envelope_to_json(envelope_for_field_spec(spec)))):
+        assert env.r0 == 0.0
+        for r in (0.5, 1.0):
+            curve = evaluate_bound_curve(env, _norming(r), [math.e, 20.0], optimize=True)
+            assert curve.values.tolist() == [0.0, 0.0]
+            assert not curve.vacuous_flags.any() and not curve.diverged_flags.any()
+
+
+_CRITERION_06_SPECS = [
+    FieldSpec(family=family, spaces=_SCALAR, p=2.0) for family in ("rademacher", "uniform", "weibull")
+] + [
+    FieldSpec(family=family, spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0))
+    for family in ("rademacher", "uniform", "weibull")
+]
+
+
+@pytest.mark.parametrize("spec", _CRITERION_06_SPECS, ids=lambda s: f"{s.family}-{s.norm_kind}")
+def test_r_half_series_diverge_by_a_log_space_witness(spec):
+    # Independently of the r0 rule: the term a_k = h(u v(A(k)) / w) at r = 1/2
+    # has k a_k > 1 at some ln k <= 3e4.  Every quantity stays a logarithm:
+    # log h(z) = min(0, min over a dense L scan of L (log g(L) - log z)), and
+    # deep blocks have log v(A(k)) = r log(ln k + log log d) (A(k) ~ d^k,
+    # whose shifts vanish at ln k >= 7).
+    # Since a_k does not increase, k a_k > 1 puts the partial sum above 1.
+    env = envelope_for_field_spec(spec)
+    L = np.geomspace(env.L_grid[0], env.L_grid[-1], 4097)
+    log_g = np.array([env.log_g(float(x)) for x in L])
+    ln_k = np.geomspace(7.0, 3e4, 400)
+
+    def max_log_k_a_k(r, d, u):
+        log_z = math.log(u) - math.log(max_admissible_w(d)) + r * np.log(ln_k + math.log(math.log(d)))
+        log_h = np.minimum(0.0, (L * (log_g - log_z[:, None])).min(axis=1))
+        return (ln_k + log_h).max()
+
+    for d in (2, 16):
+        for u in (math.e, 12.0, 20.0, 60.0):
+            assert max_log_k_a_k(0.5, d, u) > 0.0, (d, u)
+    if spec.family != "weibull":
+        # the control: at r = 1, where these series converge, the scan finds no such k
+        assert max_log_k_a_k(1.0, 2, 60.0) < 0.0
