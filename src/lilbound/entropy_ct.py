@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import rosenthal_upper
 from .envelopes import MomentEnvelope
-from .grid_spaces import GridMeasureSpace, _check_centered, _json_number, _moment_root
+from .grid_spaces import GridMeasureSpace, _check_centered, _json_number, _moment_root, _weighted_sum
 
 __all__ = [
     "IndexedField",
@@ -95,14 +95,7 @@ class IndexedField:
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (t, s) of the pairs t < s, in np.triu_indices order.
-
-        The one pair of a two-point grid is listed both ways round: numpy hands
-        a one-row matmul to dot, which rounds apart from the many-row gemv
-        that every other pair goes through.
-        """
-        if self.n_t == 2:
-            return np.array([0, 1]), np.array([1, 0])
+        """Index arrays (t, s) of the pairs t < s, in np.triu_indices order."""
         return np.triu_indices(self.n_t, 1)
 
     @cached_property
@@ -154,7 +147,7 @@ def distance_r_matrix(field: IndexedField, p: float, Z: float) -> np.ndarray:
     best = np.full(t.size, math.inf)
     for a, b in _CONJUGATE_PAIRS:
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        J = np.einsum("x,xk->k", mu_w * W, field._diff_root(a * Z))
+        J = _weighted_sum(field._diff_root(a * Z).T, mu_w * W)
         best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
     out = np.zeros((field.n_t, field.n_t))
     out[t, s] = out[s, t] = 2.0 * p * best
@@ -169,7 +162,7 @@ def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
     """
     _check_p_Z(p, Z)
     roots = field._value_root(p * Z)
-    per_t = (roots**p).T @ field.x_space.weights
+    per_t = _weighted_sum((roots**p).T, field.x_space.weights)
     return float(per_t.max())
 
 

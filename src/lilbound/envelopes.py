@@ -57,8 +57,9 @@ class MomentEnvelope:
     envelopes interpolate log g linearly in log L between grid points and are
     only evaluated inside the grid span.  r0 states that the block series
     built on g diverges for every norming power r < r0 (see lil_bounds); 0
-    claims nothing.  Envelopes built from field moments set r0 = 1, since
-    their g grows at least like L / log L.
+    claims nothing.  Envelopes built from field moments set r0 = gamma when
+    their g grows at least like L^gamma / log L: 1 for bounded fields, more
+    for the gaussian and weibull families (envelope_for_field_spec).
     """
 
     L_grid: np.ndarray
@@ -181,8 +182,12 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     martingale mode only inflates moments by its amplitude cap (1 + kappa);
     the Rosenthal constant used is the independent-summand one, so treat
     martingale envelopes as exploratory.  cl norms need the chaining
-    machinery instead and are rejected here.  r0 is 1 unless the field
-    vanishes (every moment is 0), in which case g = 0 and the bound is 0.
+    machinery instead and are rejected here.  r0 is the power gamma in the
+    growth g(L) >= c L^gamma / log L (see lil_bounds): 3/2 for gaussian, whose
+    root grows like sqrt(L), 1 + 1/beta for weibull, whose root grows like
+    L^(1/beta), and 1 otherwise; the martingale factor (1 + kappa) changes no
+    power.  A field that vanishes (every moment is 0) has g = 0, r0 = 0 and
+    the bound 0.
     """
     if spec.norm_kind == "cl":
         raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
@@ -204,7 +209,14 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
             spec.spaces,
             None if lp else spec.p,
         )
-    r0 = 1.0 if np.any(_log_abs_moment(spec, p_low) > -math.inf) else 0.0
+    if not np.any(_log_abs_moment(spec, p_low) > -math.inf):
+        r0 = 0.0
+    elif spec.family == "gaussian":
+        r0 = 1.5
+    elif spec.family == "weibull":
+        r0 = 1.0 + 1.0 / spec.beta
+    else:
+        r0 = 1.0
     return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=r0)
 
 

@@ -109,6 +109,19 @@ def _exponents(p) -> tuple:
     return exps
 
 
+def _weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i x[..., i] w[i] over the last axis, in index order; it may overwrite x.
+
+    Elementwise, so a row's bits depend on that row alone, unlike in a matrix product.
+    """
+    total = x[..., 0] * w[0]
+    for i in range(1, w.size):
+        column = x[..., i]
+        column *= w[i]
+        total += column
+    return total
+
+
 def _lq_norm(x: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
     """L^q(w) norm over the last axis of a nonnegative array.
 
@@ -116,7 +129,7 @@ def _lq_norm(x: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
     """
     if w.size == 1:
         return x[..., 0] * w[0] ** (1.0 / q)
-    return (x**q @ w) ** (1.0 / q)
+    return _weighted_sum(x**q, w) ** (1.0 / q)
 
 
 def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
@@ -197,7 +210,7 @@ def _check_centered(values: np.ndarray, w: np.ndarray) -> None:
     tolerance 1e-9 max(1, max|values|) absorbs the roundoff of the mean.
     """
     tol = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
-    if np.any(np.abs(values @ w) > tol):
+    if np.any(np.abs(_weighted_sum(values.copy(), w)) > tol):
         raise ValueError("field is not centered: its mean over Omega is nonzero at some point")
 
 

@@ -11,21 +11,28 @@ mixed-norm (F) and entropy-functional (Theta) bounds of the paper; they
 differ only in how the envelope fed to the tail conversion was built.
 
 Where the series provably diverges the walk is skipped.  An envelope with
-r0 > 0 claims that the series diverges for every norming power r < r0;
-every field envelope claims r0 = 1, by this argument:
+r0 > 0 claims that the series diverges for every norming power r < r0.
+A field envelope claims r0 = gamma when its g grows like L^gamma / log L
+(gamma = 1 for bounded fields, 3/2 for gaussian, 1 + 1/beta for weibull),
+by this argument:
 
 * Lower growth of g.  A field envelope is g(L) = 2 K_R(L) root(L) with
-  K_R(L) = C L / (e log L) and root(L) the moment root of the field, which
-  is >= c > 0 for all L >= p unless the field is 0 (then g = 0, r0 = 0 and
-  every bound is 0).  So g(L) >= c1 L / log L with c1 = 2 C c / e.
+  K_R(L) = C L / (e log L) and root(L) the norm of the field's moment
+  roots, which is >= c L^(gamma - 1) > 0 for all L >= p unless the field
+  is 0 (then g = 0, r0 = 0 and every bound is 0): a bounded root does not
+  fall as L grows, a gaussian one is >= sigma sqrt(L / e), and a weibull
+  one is Gamma(L / beta + 1)^(1/L) >= (L / (e beta))^(1/beta).  So
+  g(L) >= c1 L^gamma / log L with c1 = 2 C c / e.
 * Bound on log h.  log h(z) is the infimum of L log(g(L) / z), and with
-  L* the root of c1 L* / log L* = z this is > 0 for L > L* and, for
-  L <= L*, >= L log(c1 L / (z log L*)) >= -z log L* / (c1 e).  Since
-  log L* ~ log z, log h(z) >= -c2 z log z for large z and some c2 > 0.
-  Restricting L to a grid span, as the tail conversion does, takes the
-  infimum over fewer L: it only makes h larger, and the bound still holds.
+  L* the root of c1 L*^gamma / log L* = z this is > 0 for L > L* and, for
+  L <= L*, >= L log(c1 L^gamma / (z log L*)) >= -gamma (z log L* / c1)^(1/gamma) / e.
+  Since log L* ~ log(z) / gamma, log h(z) >= -c2 (z log z)^(1/gamma) for
+  large z and some c2 > 0.  Restricting L to a grid span, as the tail
+  conversion does, takes the infimum over fewer L: it only makes h larger,
+  and the bound still holds.
 * Terms.  With v(A(k)) ~ (ln k)^r the term a_k = h(u v(A(k)) / w) has
-  log a_k >= -c3 (ln k)^r ln ln k, which is o(ln k) for r < 1.
+  log a_k >= -c3 ((ln k)^r ln ln k)^(1/gamma), which is o(ln k) for
+  r < gamma.
 * Divergence.  So k a_k -> infinity, a_k > 1/k for all large k, and the sum
   is infinite: the only bound is 1, flagged diverged.
 """

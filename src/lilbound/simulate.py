@@ -296,13 +296,9 @@ def _martingale_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, d
     count = hi - lo
     dim = spec.draw_dim
     X = np.empty((n_max, count, dim))
-    # Trial-major staging for half an iid chunk of trials, used twice.  The
-    # draws fill it (the Gaussian and Weibull fills write with out=, which
-    # needs contiguous rows) before it is copied into X.  The norm reads the
-    # sums from it, copied back out of X: BLAS rounds a row of a
-    # matrix-vector product by its place in the matrix, so matmul must see
-    # each trial's (n_max x size) matrices as the iid pass does.  With X
-    # alive, half a chunk keeps the peak memory about that of an iid chunk.
+    # The draws fill a trial-major stage before X (the Gaussian and Weibull fills
+    # write with out=, which needs contiguous rows), half an iid chunk at a time;
+    # the norm reads X in the same groups, so the peak memory is about an iid chunk's.
     group = _CHUNK // 2
     stage = np.empty((min(group, count), n_max, dim))
     s = np.empty(n_max)
@@ -334,9 +330,7 @@ def _martingale_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, d
         prev = cur
     sups = np.empty((len(divisors), count))
     for g in range(0, count, group):
-        part = stage[: min(group, count - g)]
-        np.copyto(part, X[:, g : g + len(part)].swapaxes(0, 1))
-        sups[:, g : g + len(part)] = _scaled_sups(spec, part, divisors)
+        sups[:, g : g + group] = _scaled_sups(spec, X[:, g : g + group].swapaxes(0, 1), divisors)
     return sups
 
 

@@ -29,7 +29,7 @@ from lilbound import (
 from lilbound import entropy_ct
 from lilbound.cli import run
 from lilbound.entropy_ct import DEFAULT_ALPHAS, DEFAULT_THETA_GRID
-from lilbound.grid_spaces import _moment_root
+from lilbound.grid_spaces import _moment_root, _weighted_sum
 
 
 def _random_field(rng, nx=3, nt=4, amplitude=0.3) -> IndexedField:
@@ -96,7 +96,7 @@ def _square_distance_r_matrix(field, p, Z):
     for a in DEFAULT_ALPHAS:
         b = a / (a - 1.0)
         W = field_W(field, (p - 1.0) * b * Z) ** (p - 1.0)
-        J = np.einsum("x,xts->ts", mu_w * W, root(a * Z))
+        J = _weighted_sum(np.moveaxis(root(a * Z), 0, -1), mu_w * W)
         best = np.minimum(best, _pair_weight(p, Z, a, b) * J)
     out = 2.0 * p * best
     np.fill_diagonal(out, 0.0)
@@ -240,7 +240,7 @@ def test_distance_matrix_matches_pairwise_entries():
                 assert mat[t, s] == pytest.approx(distance_r(field, t, s, 2.0, 1.5), rel=1e-12)
 
 
-@pytest.mark.parametrize("n_omega", [2, 3])
+@pytest.mark.parametrize("n_omega", [2, 3, 8, 16])
 @pytest.mark.parametrize("nx", [1, 3, 16])
 @pytest.mark.parametrize("nt", [1, 2, 5, 64])
 def test_pair_kernel_is_the_square_form_byte_for_byte(nt, nx, n_omega):

@@ -390,17 +390,26 @@ def _point_floor(weights, sd) -> float:
     return float((scale.T * sd).max())
 
 
-def _spec_floor(spec) -> float:
+def _spec_floor(spec) -> tuple[float, float]:
+    """(c, gamma) with every pointwise moment root of order L >= 2 at least c(x) L^(gamma - 1).
+
+    rademacher and uniform: the standard deviation (Lyapunov), gamma = 1;
+    gaussian: E|N(0, 1)|^L >= sqrt(2) (L - 1)^(L/2) e^(-(L-1)/2) (Stirling's
+    lower bound on Gamma((L + 1)/2)) gives a root >= sigma sqrt(L / e);
+    weibull: Gamma(L/beta + 1) >= (L / (e beta))^(L/beta).  The martingale
+    factor (1 + kappa)^L only raises a moment.
+    """
+    gamma = 1.0
     if spec.family == "rademacher":
         sd = 1.0
     elif spec.family == "uniform":
         sd = spec.a / math.sqrt(3.0)
     elif spec.family == "gaussian":
-        sd = np.asarray(spec.sigma, dtype=float)
+        sd, gamma = np.asarray(spec.sigma, dtype=float) / math.sqrt(math.e), 1.5
     else:
-        sd = math.sqrt(math.gamma(2.0 / spec.beta + 1.0))
+        sd, gamma = (math.e * spec.beta) ** (-1.0 / spec.beta), 1.0 + 1.0 / spec.beta
     shape = tuple(sp.size for sp in spec.spaces)
-    return _point_floor([sp.weights for sp in spec.spaces], np.broadcast_to(sd, shape))
+    return _point_floor([sp.weights for sp in spec.spaces], np.broadcast_to(sd, shape)), gamma
 
 
 def _field_floor(xi) -> float:
@@ -420,27 +429,31 @@ def _field_envelope_cases():
         FieldSpec(family="uniform", spaces=_SCALAR, a=0.3, p=2.0),
         FieldSpec(family="gaussian", spaces=_THREE, sigma=np.array([0.5, 3.0, 1.0]), p=2.0),
         FieldSpec(family="weibull", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), beta=1.5),
+        FieldSpec(family="gaussian", spaces=_SCALAR, p=2.0, sigma=0.7, dependence="martingale"),
         FieldSpec(family="rademacher", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), dependence="martingale"),
     ):
-        yield f"spec-{spec.family}-{spec.norm_kind}", envelope_for_field_spec(spec), _spec_floor(spec)
+        yield f"spec-{spec.family}-{spec.norm_kind}", envelope_for_field_spec(spec), *_spec_floor(spec)
     omega = GridMeasureSpace.uniform_probability(3)
     x = GridMeasureSpace(rng.uniform(0.2, 1.0, 4))
     xi = GridFunction((x, omega), _centered(rng, (4, 3), omega))
-    yield "from-field", envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e8, 65)), _field_floor(xi)
+    yield "from-field", envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e8, 65)), _field_floor(xi), 1.0
     x2 = GridMeasureSpace(rng.uniform(0.5, 2.0, 2))
     xi = GridFunction((x, x2, omega), _centered(rng, (4, 2, 3), omega))
-    yield "mixed-from-field", mixed_envelope_from_field(xi, (2.0, 3.0), np.geomspace(3.0, 1e8, 65)), _field_floor(xi)
+    yield "mixed-from-field", mixed_envelope_from_field(xi, (2.0, 3.0), np.geomspace(3.0, 1e8, 65)), _field_floor(xi), 1.0
 
 
 def test_field_envelopes_grow_at_least_like_L_over_log_L_at_every_knot():
-    # the fact behind r0 = 1 (lil_bounds docstring): g(L) >= c1 L / log L with
-    # c1 = 2 C_R m / e > 0, m a floor under the moment root of the field
-    for name, env, floor in _field_envelope_cases():
+    # the fact behind r0 = gamma (lil_bounds docstring): g(L) >= c1 L^gamma / log L
+    # with c1 = 2 C_R c / e > 0, c L^(gamma - 1) a floor under the norm of the moment roots
+    gammas = set()
+    for name, env, floor, gamma in _field_envelope_cases():
         L = env.L_grid
-        assert env.r0 == 1.0, name
+        assert env.r0 == gamma, name
         assert floor > 0.0, name
-        lower = (2.0 * C_ROSENTHAL / math.e) * floor * L / np.log(L)
+        lower = (2.0 * C_ROSENTHAL / math.e) * floor * L**gamma / np.log(L)
         assert np.all(env.g_values >= lower * (1.0 - 1e-12)), name
+        gammas.add(gamma)
+    assert gammas == {1.0, 1.5, 1.0 + 1.0 / 1.5}
 
 
 def test_a_vanishing_field_claims_no_r0():

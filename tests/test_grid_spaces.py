@@ -16,6 +16,7 @@ from lilbound import (
     mixed_norm,
     permutation_slack,
 )
+from lilbound.grid_spaces import _weighted_sum
 
 SLACK_FLOOR = -1e-10
 
@@ -214,3 +215,26 @@ def test_norm_monotone_in_probability_exponent():
         lo = mixed_norm(f, (1.5, 2.0))
         hi = mixed_norm(f, (2.5, 3.0))
         assert hi >= lo - 1e-12
+
+
+@pytest.mark.parametrize("width", range(1, 34))
+def test_weighted_sum_of_a_row_depends_on_that_row_alone(width):
+    # The bytes of a row's sum are the same alone, in a stack, in an F-ordered
+    # copy of the stack and as a prefix of a longer stack, and they are the
+    # terms added in index order by hand.  _weighted_sum may overwrite its
+    # input, so each call gets a copy.
+    rng = np.random.default_rng(20261019 + width)
+    w = rng.uniform(0.1, 2.0, width)
+    stack = rng.uniform(0.0, 3.0, (2, 101, width))
+    sums = _weighted_sum(stack.copy(), w)
+    assert sums.shape == (2, 101)
+    assert _weighted_sum(np.asfortranarray(stack), w).tobytes() == sums.tobytes()
+    assert _weighted_sum(stack[:, :37].copy(), w).tobytes() == sums[:, :37].tobytes()
+    for i, j in ((0, 0), (0, 3), (1, 100)):
+        row = stack[i, j]
+        alone = _weighted_sum(row[None].copy(), w)[0]
+        assert alone.tobytes() == sums[i, j].tobytes()
+        by_hand = row[0] * w[0]
+        for x, wk in zip(row[1:], w[1:]):
+            by_hand = by_hand + x * wk
+        assert alone.tobytes() == np.float64(by_hand).tobytes()

@@ -399,15 +399,14 @@ _CRITERION_06_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", _CRITERION_06_SPECS, ids=lambda s: f"{s.family}-{s.norm_kind}")
-def test_r_half_series_diverge_by_a_log_space_witness(spec):
-    # Independently of the r0 rule: the term a_k = h(u v(A(k)) / w) at r = 1/2
-    # has k a_k > 1 at some ln k <= 3e4.  Every quantity stays a logarithm:
-    # log h(z) = min(0, min over a dense L scan of L (log g(L) - log z)), and
-    # deep blocks have log v(A(k)) = r log(ln k + log log d) (A(k) ~ d^k,
-    # whose shifts vanish at ln k >= 7).
-    # Since a_k does not increase, k a_k > 1 puts the partial sum above 1.
-    env = envelope_for_field_spec(spec)
+def _log_space_scan(env):
+    """(r, d, u) -> max over ln k in [7, 3e4] of log(k a_k), a_k = h(u v(A(k)) / w).
+
+    Every quantity stays a logarithm: log h(z) = min(0, min over a dense L
+    scan of L (log g(L) - log z)), and deep blocks have log v(A(k)) =
+    r log(ln k + log log d) (A(k) ~ d^k, whose shifts vanish at ln k >= 7).
+    Since a_k does not increase, k a_k > 1 puts the partial sum above 1.
+    """
     L = np.geomspace(env.L_grid[0], env.L_grid[-1], 4097)
     log_g = np.array([env.log_g(float(x)) for x in L])
     ln_k = np.geomspace(7.0, 3e4, 400)
@@ -417,9 +416,36 @@ def test_r_half_series_diverge_by_a_log_space_witness(spec):
         log_h = np.minimum(0.0, (L * (log_g - log_z[:, None])).min(axis=1))
         return (ln_k + log_h).max()
 
+    return max_log_k_a_k
+
+
+@pytest.mark.parametrize("spec", _CRITERION_06_SPECS, ids=lambda s: f"{s.family}-{s.norm_kind}")
+def test_r_half_series_diverge_by_a_log_space_witness(spec):
+    # Independently of the r0 rule: the term a_k at r = 1/2 has k a_k > 1 at
+    # some ln k <= 3e4 (see _log_space_scan).
+    max_log_k_a_k = _log_space_scan(envelope_for_field_spec(spec))
     for d in (2, 16):
         for u in (math.e, 12.0, 20.0, 60.0):
             assert max_log_k_a_k(0.5, d, u) > 0.0, (d, u)
     if spec.family != "weibull":
         # the control: at r = 1, where these series converge, the scan finds no such k
         assert max_log_k_a_k(1.0, 2, 60.0) < 0.0
+
+
+def test_weibull_r1_series_diverge_by_a_log_space_witness():
+    # A weibull root grows like L^(1/beta), so at beta = 1 the series diverge
+    # for every r < r0 = 2, r = 1 included, although the walk alone stops
+    # early: at u = 200 it summed 481 terms to 5.88e-08.  The log-space scan
+    # finds k a_k > 1, and the bound is 1, flagged diverged, without a walk.
+    env = envelope_for_field_spec(FieldSpec(family="weibull", spaces=_SCALAR, p=2.0, beta=1.0))
+    assert env.r0 == 2.0
+    max_log_k_a_k = _log_space_scan(env)
+    for u in (12.0, 200.0, 1000.0):
+        assert max_log_k_a_k(1.0, 2, u) > 0.0, u
+    plain = dataclasses.replace(env, r0=0.0)
+    walked = upper_bound(plain, geometric_partition(2), _norming(1.0), max_admissible_w(2), 200.0)
+    assert walked.value == pytest.approx(5.88e-08, rel=1e-3) and not walked.diverged
+    ev = optimize_bound(env, _norming(1.0), 200.0)
+    assert (ev.value, ev.diverged, ev.terms) == (1.0, True, 0)
+    # the control: at r = 2 = r0 the scan finds no such k
+    assert max_log_k_a_k(2.0, 2, 200.0) < 0.0

@@ -134,9 +134,7 @@ def test_one_point_factor_norms_match_hand_rolled_walk():
 )
 def test_trajectory_norms_are_mixed_norm(spec):
     # One kernel: the simulated norm of a row is the library's mixed_norm, bit
-    # for bit.  A BLAS matrix-vector product may round a row differently when
-    # it shares the call with other rows (as the cl norm's t slots do), so
-    # those agree to roundoff.
+    # for bit, alone or in a stack of rows.
     S = np.cumsum(np.random.default_rng(20261018).normal(size=(50, spec.draw_dim)), axis=0)
     sizes = tuple(sp.size for sp in spec.spaces)
     exps = spec.p if spec.norm_kind == "mixed" else (spec.p,)
@@ -146,7 +144,7 @@ def test_trajectory_norms_are_mixed_norm(spec):
         expected.append(max(mixed_norm(f, exps) for f in slots))
         if spec.t_size == 1:
             assert _norm_trajectory(spec, row[None, None])[0, 0] == expected[-1]
-    assert np.allclose(_norm_trajectory(spec, S[None])[0], expected, rtol=1e-15, atol=0.0)
+    assert _norm_trajectory(spec, S[None])[0].tobytes() == np.array(expected).tobytes()
 
 
 def _martingale_by_hand(spec, n_max, trials, seed, rs):
@@ -222,12 +220,7 @@ _MARTINGALE_SPECS = {
 @pytest.mark.parametrize("name", list(_MARTINGALE_SPECS))
 def test_martingale_sups_are_the_hand_written_recurrence_byte_for_byte(name):
     # Pins every byte of the martingale pass, whatever its chunking: the
-    # trial counts cross chunk boundaries and leave a one-trial chunk.  BLAS
-    # may round a row of a matrix-vector product by its place in the matrix
-    # (at 12 points, a one-row product and the rows after the last whole
-    # group of four round differently), so the 12-point spec and an n_max
-    # whose half is not a multiple of 4 catch a norm that reads the sums in
-    # another layout than the trial-major one.
+    # trial counts cross chunk boundaries and leave a one-trial chunk.
     spec = _MARTINGALE_SPECS[name]
     n_max, seed, rs = 14, 31, (0.5, 1.0)
     for trials in (7, 129, 130, 300):
@@ -257,6 +250,31 @@ def test_martingale_steps_are_conditionally_centered():
         assert np.array_equal(np.abs(sample), 1.0 + 0.7 * np.tanh(past_mean[side]))
     uncoupled = simulate_many(_scalar_spec(dependence="martingale", kappa=0.0), n_max, trials, seed, rs=(0.5,))[0]
     assert not np.array_equal(uncoupled.sup_values, ens.sup_values)
+
+
+def _iid_norms(spec, n_max, trials, seed):
+    """||S(n)|| per trial and n, the steps drawn and summed as the iid pass does."""
+    steps = np.empty((trials, n_max, spec.draw_dim))
+    for trial in range(trials):
+        _fill_steps(spec, _trial_rng(seed, trial), steps[trial])
+    return _norm_trajectory(spec, np.cumsum(steps, axis=1))
+
+
+@pytest.mark.parametrize("family", ["rademacher", "uniform", "gaussian"])
+def test_a_longer_horizon_keeps_every_norm_and_never_lowers_a_sup(family):
+    # These families draw a trial's steps in prefix order, so the first n
+    # steps of a run to 2n are those of a run to n.  The norm of S(n) depends
+    # on S(n) alone, so its bytes are the same in both runs, and the sup to
+    # 2n is never below the sup to n.
+    rng = np.random.default_rng(20261019)
+    trials, seed = 8, 41
+    for width in range(2, 34):
+        spec = FieldSpec(family=family, spaces=(GridMeasureSpace(rng.uniform(0.2, 1.0, width)),), p=3.0)
+        for n in (4, 7, 13, 25, 50):
+            short, long = (_iid_norms(spec, m, trials, seed) for m in (n, 2 * n))
+            assert long[:, :n].tobytes() == short.tobytes(), (width, n)
+            sups = [simulate_many(spec, m, trials, seed, rs=(0.5,))[0].sup_values for m in (n, 2 * n)]
+            assert np.all(sups[1] >= sups[0]), (width, n)
 
 
 def test_zero_field_gives_zero_sups():
