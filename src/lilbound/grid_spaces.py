@@ -138,7 +138,7 @@ def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
     Factor k (weights[k], exps[k]) sits on axis -1-k, so factor 0, the
     innermost, is the last axis and is reduced first; leading axes are kept.
     |x| is taken here so that it is freed after the first reduction: the
-    simulation's arrays are the size of a whole chunk of trajectories.
+    simulation's arrays hold a whole group of trajectories.
     """
     x = np.abs(x)
     for w, q in zip(weights, exps):

@@ -9,12 +9,13 @@ Reproducibility contract: each trial owns a counter-based substream keyed by
 (seed, trial index) with a fixed in-trial draw order, so results are
 bit-identical for any worker count and any chunking of the trial range.
 
-iid trials run in chunks of _CHUNK; each chunk draws its trials' steps and
-takes one cumsum.  Martingale trials run in chunks of up to 2 * _CHUNK: the
-steps sit step-major in one (n, trials, dim) buffer, and one Python loop over
-n turns it into the partial sums of all of the chunk's trials.  Every value
-is computed as in the one-trial recurrence, so the draws and the output bytes
-are those of stepping each trial on its own.
+Trials of either dependence run in chunks of _CHUNK, drawn _GROUP trials at
+a time into one trial-major stage.  An iid group is summed and normed in the
+stage.  A martingale group is copied step-major into one (n, trials, dim)
+buffer, and once the chunk is drawn one Python loop over n turns that buffer
+into the partial sums of all of its trials.  Every value is computed as in
+the one-trial recurrence, so the draws and the output bytes are those of
+stepping each trial on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
 from .grid_spaces import _exponents, _iterated_norm, _json_number
 from .lil_bounds import TailBoundCurve, _check_u_grid
-from .partitions import NormingSequence
+from .partitions import E_E, NormingSequence
 
 __all__ = [
     "FieldSpec",
@@ -50,7 +51,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("rademacher", "uniform", "gaussian", "weibull")
-_CHUNK = 64
+_CHUNK = 128
+_GROUP = 32
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,9 @@ def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
 def _fill_steps(spec: FieldSpec, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill an (n, dim) buffer with one trial's steps.
 
-    Fixed in-trial draw order: magnitudes (or symmetric values), then extra signs.
+    Fixed in-trial draw order: magnitudes (or symmetric values), then extra
+    signs, then for a martingale spec the shared sign s_j of each step, which
+    replaces the sign of every entry of that step.
     """
     if spec.family == "rademacher":
         _fill_signs(rng, out)
@@ -248,6 +252,11 @@ def _fill_steps(spec: FieldSpec, rng: np.random.Generator, out: np.ndarray) -> N
         signs = np.empty_like(out)
         _fill_signs(rng, signs)
         out *= signs
+    if spec.dependence == "martingale":
+        shared = np.empty(len(out))
+        _fill_signs(rng, shared)
+        np.abs(out, out=out)
+        out *= shared[:, None]
 
 
 def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
@@ -261,16 +270,31 @@ def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
-    if spec.dependence == "martingale":
-        return _martingale_sups(spec, seed, lo, hi, n_max, divisors)
+    """Sups of trials lo..hi-1 -> (len(divisors), hi - lo).
+
+    The trials are drawn _GROUP at a time into a trial-major stage, because
+    the Gaussian and Weibull fills write with out=, which needs contiguous rows.
+    """
     count = hi - lo
-    dim = spec.draw_dim
-    draws = np.empty((count, n_max, dim))
-    for i in range(count):
-        rng = _trial_rng(seed, lo + i)
-        _fill_steps(spec, rng, draws[i])
-    S = np.cumsum(draws, axis=1, out=draws)
-    return _scaled_sups(spec, S, divisors)
+    martingale = spec.dependence == "martingale"
+    stage = np.empty((min(_GROUP, count), n_max, spec.draw_dim))
+    if martingale:
+        X = np.empty((n_max, count, spec.draw_dim))
+    sups = np.empty((len(divisors), count))
+    for g in range(0, count, _GROUP):
+        part = stage[: min(_GROUP, count - g)]
+        for i, steps in enumerate(part):
+            _fill_steps(spec, _trial_rng(seed, lo + g + i), steps)
+        if martingale:
+            X[:, g : g + len(part)] = part.swapaxes(0, 1)
+        else:
+            np.cumsum(part, axis=1, out=part)
+            sups[:, g : g + len(part)] = _scaled_sups(spec, part, divisors)
+    if martingale:
+        _martingale_sums(spec.kappa, X)
+        for g in range(0, count, _GROUP):
+            sups[:, g : g + _GROUP] = _scaled_sups(spec, X[:, g : g + _GROUP].swapaxes(0, 1), divisors)
+    return sups
 
 
 def _scaled_sups(spec: FieldSpec, S: np.ndarray, divisors: np.ndarray) -> np.ndarray:
@@ -284,34 +308,15 @@ def _scaled_sups(spec: FieldSpec, S: np.ndarray, divisors: np.ndarray) -> np.nda
     return sups
 
 
-def _martingale_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
-    """The martingale recurrence for trials lo..hi-1, stepped over n for all of them at once.
+def _martingale_sums(kappa: float, X: np.ndarray) -> None:
+    """Turn the step-major steps s |y| in X (n, trials, dim) into partial sums, in place.
 
-    The steps s |y| sit step-major in one (n_max, count, dim) buffer X, which
-    the loop turns into the partial sums in place.  Each step does what the
+    One loop over n steps all of the trials at once.  Each step does what the
     one-trial recurrence mult = 1 + kappa tanh(mean S(j-1)),
     S(j) = S(j-1) + s |y| mult does, with the same operations in the same
     order, so the sums do not depend on how the trials are chunked.
     """
-    count = hi - lo
-    dim = spec.draw_dim
-    X = np.empty((n_max, count, dim))
-    # The draws fill a trial-major stage before X (the Gaussian and Weibull fills
-    # write with out=, which needs contiguous rows), half an iid chunk at a time;
-    # the norm reads X in the same groups, so the peak memory is about an iid chunk's.
-    group = _CHUNK // 2
-    stage = np.empty((min(group, count), n_max, dim))
-    s = np.empty(n_max)
-    for g in range(0, count, group):
-        part = stage[: min(group, count - g)]
-        for i, steps in enumerate(part):
-            rng = _trial_rng(seed, lo + g + i)
-            _fill_steps(spec, rng, steps)
-            _fill_signs(rng, s)
-            np.abs(steps, out=steps)
-            steps *= s[:, None]
-        X[:, g : g + len(part)] = part.swapaxes(0, 1)
-    kappa = spec.kappa
+    n_max, count, dim = X.shape
     prev = np.zeros((count, dim))
     mult = np.empty(count)
     mult_col = mult[:, None]
@@ -328,10 +333,6 @@ def _martingale_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, d
         cur *= mult_col
         cur += prev
         prev = cur
-    sups = np.empty((len(divisors), count))
-    for g in range(0, count, group):
-        sups[:, g : g + group] = _scaled_sups(spec, X[:, g : g + group].swapaxes(0, 1), divisors)
-    return sups
 
 
 def simulate_many(
@@ -360,12 +361,11 @@ def simulate_many(
     for r in rs:
         NormingSequence.iterated_log(r)  # validates r >= 1/2
     ns = np.arange(1, n_max + 1, dtype=float)
-    loglog = np.log(np.log(ns + (math.exp(math.e) - 1.0)))
+    loglog = np.log(np.log(ns + (E_E - 1.0)))
     divisors = np.stack([np.sqrt(ns) * loglog**r for r in rs])
     divisors[:, 0] = 1.0  # sqrt(1) * v(1), exactly
     workers = resolve_threads(threads)
-    chunk = 2 * _CHUNK if spec.dependence == "martingale" else _CHUNK
-    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    bounds = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
     sups = np.empty((len(rs), trials))
     if workers <= 1 or len(bounds) == 1:
         for lo, hi in bounds:

@@ -85,6 +85,18 @@ def test_mixingale_power_tail_matches_zeta_value():
     assert mixingale_coefficient(2.0, profile) == pytest.approx(expected, rel=1e-9)
 
 
+def test_mixingale_geometric_tail_past_a_remainder_bound_above_one():
+    # q = 0.9, m = 10: the remainder bound's ratio q ((k+2)/(k+1))^4 is >= 1 for
+    # the first terms, so the bound is inf there and the sum walks on past
+    # them; the result bounds a 5,000-term brute-force sum from above.
+    coeff = mixingale_coefficient(10.0, MixingProfile.geometric(ratio=0.9))
+    total = 0.0
+    for k in range(1, 5001):
+        total += 0.9**k * (k + 1.0) ** 4
+    brute = 10.0 * total**0.1
+    assert brute <= coeff <= brute + 1e-12
+
+
 def test_mixingale_prefix_summed_exactly():
     profile = MixingProfile.from_values([1.0, 0.5])
     assert mixingale_coefficient(2.0, profile) == pytest.approx(
@@ -106,6 +118,7 @@ def test_profile_beta_prefix_then_tail():
     assert profile.beta(1) == 0.9
     assert profile.beta(2) == 0.8
     assert profile.beta(3) == pytest.approx(0.125)
+    assert MixingProfile(prefix=(0.9, 0.8)).beta(3) == 0.0
 
 
 def test_profile_validation():

@@ -435,6 +435,9 @@ def test_nu_accepts_scalar_sigma_with_covering():
     cov = AnalyticCovering(D=1.0, dim=1)
     value = nu_p(0.25, 2.0, 2.0, covering=cov)
     assert 0.0 < value < math.inf
+    # sigma_hat = 0: the value is 0, at the first theta of the default grid
+    zero = nu_p_detail(0.0, 2.0, 2.0, covering=cov)
+    assert (zero.value, zero.best_theta) == (0.0, 0.05)
     with pytest.raises(ValueError):
         nu_p(0.25, 2.0, 2.0)  # covering required for a scalar source
 

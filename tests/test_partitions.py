@@ -88,6 +88,8 @@ def test_norming_matches_closed_form():
     for n in (1, 2, 10, 10**6):
         expected = math.log(math.log(n + E_E - 1.0)) ** 1.5
         assert v(n) == pytest.approx(expected, rel=1e-15)
+    # past float range e^e - 1 is far below resolution: v(n) = (log log n)^r
+    assert v(10**400) == math.log(math.log(10**400)) ** 1.5 == 17.832056003898035
 
 
 def test_norming_is_increasing_and_unbounded():

@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, statistics, envelopes for field specs."""
 
+import dataclasses
 import math
 import os
 
@@ -59,21 +60,32 @@ def test_simulate_many_matches_separate_runs():
 
 
 def test_trajectory_sups_match_hand_rolled_walk():
-    # Scalar Rademacher: sup_n |S_n| / (sqrt(n) v(n)) recomputed directly
-    # from the same per-trial generator stream.
-    spec = _scalar_spec()
-    n_max, trials, seed, r = 32, 12, 99, 1.0
-    ens = simulate_many(spec, n_max=n_max, trials=trials, seed=seed, rs=(r,))[0]
-    ns = np.arange(1, n_max + 1)
-    div = np.sqrt(ns) * np.log(np.log(ns + E_E - 1.0)) ** r
+    # sup_n ||S_n|| / (sqrt(n) v(n)) recomputed from the same per-trial
+    # generator streams, byte for byte, for trial counts on both sides of the
+    # 32-trial groups and the 128-trial chunks, at 1 and 2 threads.  The
+    # scalar Rademacher walk spells its draws and norm out; the other shapes
+    # draw through _fill_steps and norm through _norm_trajectory.
+    n_max, seed, r, most = 32, 99, 1.0, 300
+    ns = np.arange(1, n_max + 1, dtype=float)
+    div = np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r
     div[0] = 1.0
-    for trial in range(trials):
+    scalar = np.empty((most, n_max))
+    for trial in range(most):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
         )
         steps = rng.integers(0, 2, size=(n_max, 1)).astype(np.float64) * 2.0 - 1.0
-        walk = np.abs(np.cumsum(steps[:, 0]))
-        assert ens.sup_values[trial] == pytest.approx(float((walk / div).max()), rel=1e-12)
+        scalar[trial] = np.abs(np.cumsum(steps[:, 0]))
+    cases = [("lp-dim1", _scalar_spec(), scalar)]
+    for name in ("lp-dim3", "mixed-dim2", "cl"):
+        spec = dataclasses.replace(_MARTINGALE_SPECS[name], dependence="iid")
+        cases.append((name, spec, _iid_norms(spec, n_max, most, seed)))
+    for name, spec, walks in cases:
+        expected = (walks / div).max(axis=1)
+        for trials in (1, 31, 33, 127, 129, most):
+            for threads in (1, 2):
+                ens = simulate_many(spec, n_max, trials, seed, rs=(r,), threads=threads)[0]
+                assert ens.sup_values.tobytes() == expected[:trials].tobytes(), (name, trials, threads)
 
 
 def test_one_point_factor_norms_match_hand_rolled_walk():
@@ -152,13 +164,16 @@ def _martingale_by_hand(spec, n_max, trials, seed, rs):
 
     Returns the per-trial sups (one row per r), the steps xi (trials, n_max,
     dim) and the running mean of S(j-1) that each step's multiplier read.
+    Each trial's values y are drawn as for the iid spec, then its shared
+    signs s, the draw order _fill_steps keeps for a martingale spec.
     """
     dim = spec.draw_dim
+    values = dataclasses.replace(spec, dependence="iid")
     y = np.empty((trials, n_max, dim))
     s = np.empty((trials, n_max))
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        _fill_steps(spec, rng, y[trial])
+        _fill_steps(values, rng, y[trial])
         _fill_signs(rng, s[trial])
     xi = np.empty_like(y)
     S = np.empty_like(y)
