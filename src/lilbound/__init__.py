@@ -20,7 +20,6 @@ from .envelopes import (
     envelope_from_field,
     envelope_from_json,
     envelope_to_json,
-    mixed_envelope_from_field,
     tail_argmin,
     tail_from_envelope,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "envelope_from_field",
     "envelope_from_json",
     "envelope_to_json",
-    "mixed_envelope_from_field",
     "tail_argmin",
     "tail_from_envelope",
     "AnalyticCovering",

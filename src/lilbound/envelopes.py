@@ -1,10 +1,12 @@
 """Moment envelopes g(L) for normed sums and the moment-to-tail conversion.
 
 An envelope is a uniform-in-n bound (E |sum|^L)^(1/L) <= g(L) for every
-L >= domain_low.  Every field envelope comes from one core, g(L) = 2
-K_R(L) ||(E|xi(x)|^L)^(1/L)|| with 2 the ceiling of the Doob factor and K_R
-the Rosenthal constant, fed per-point moment roots and a norm over X: lp of
-order L, or mixed with exponents p_vec.  Tails follow by the
+L >= domain_low.  Every field envelope comes from one formula, g(L) = 2
+K_R(L) ||x -> (E|xi(x)|^L)^(1/L)||, with 2 the ceiling of the Doob factor,
+K_R the Rosenthal constant and the norm over X in the space's own
+exponents: lp is the mixed norm with one factor.  For L >= max p,
+Minkowski's integral inequality moves the L-th moment inside that norm, so
+g holds for any positive weights on X.  Tails follow by the
 Chebyshev-Markov step optimized over the moment order:
 
     h(z) = min(1, inf_L (g(L)/z)^L),
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .constants import rosenthal_upper
-from .grid_spaces import GridFunction, _check_centered, _iterated_norm, _json_number, _moment_root
+from .grid_spaces import GridFunction, _check_centered, _exponents, _iterated_norm, _json_number, _moment_root
 
 if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annotations only
     from .simulate import FieldSpec
@@ -34,7 +36,6 @@ if TYPE_CHECKING:  # simulate imports this module, so the spec type is for annot
 __all__ = [
     "MomentEnvelope",
     "envelope_from_field",
-    "mixed_envelope_from_field",
     "envelope_for_field_spec",
     "tail_from_envelope",
     "tail_argmin",
@@ -132,20 +133,24 @@ class MomentEnvelope:
         return float(np.interp(math.log(L), self._log_L_grid, self._log_g_grid))
 
 
-def _field_g(point_roots, axes, p_vec=None) -> Callable[[float], float]:
+def _field_g(point_roots, axes, exps) -> Callable[[float], float]:
     """g(L) = 2 * K_R(L) * || x -> (E|xi(x)|^L)^(1/L) || from the pointwise roots.
 
-    point_roots(L) is an array over the X axes, first (innermost) factor last.
-    With p_vec None, X is one axis and the norm is its L-norm, max-scaled so
-    that no root above 1 raised to a large L overflows; otherwise the p_vec
-    mixed norm, whose entries are bounded by max|xi|.  The 2 covers the
-    maximal inequality inside g, so the tail-sum argument stays u*v(A(k))/w.
+    point_roots(L) is an array over the X axes, first (innermost) factor last,
+    and the norm is the iterated one with exponent exps[k] on factor k (lp
+    is one factor).  Where a root^p overflows, the largest root is factored
+    out first; every finite norm keeps its bytes.  The 2 covers the maximal
+    inequality inside g, so the tail-sum argument stays u*v(A(k))/w.
     """
     weights = [ax.weights for ax in axes]
 
     def g(L: float) -> float:
         roots = point_roots(L)
-        norm = _moment_root(roots, weights[0])(L) if p_vec is None else _iterated_norm(roots, weights, p_vec)
+        norm = _iterated_norm(roots, weights, exps)
+        if not math.isfinite(norm):
+            # a root^p overflowed (heavy tails at large L): factor out the largest root
+            top = roots.max()
+            norm = top * _iterated_norm(roots / top, weights, exps)
         return 2.0 * rosenthal_upper(L) * norm
 
     return g
@@ -173,12 +178,12 @@ def _log_abs_moment(spec: FieldSpec, L: float) -> np.ndarray:
 
 
 def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
-    """Moment envelope g(L) for a field spec, matching its norm.
+    """Moment envelope g(L) = 2 K_R(L) ||x -> (E|xi(x)|^L)^(1/L)|| for a field spec.
 
-    lp: g(L) = 2 * K_R(L) * (int_X E|xi(x)|^L mu(dx))^(1/L);
-    mixed: the integral is replaced by the mixed norm of x -> (E|xi(x)|^L)^(1/L).
-    Both start from closed-form moments; a one-point lp space takes its
-    root as one scalar, every other space goes through _field_g.  The
+    The norm is the spec's own, lp as the one-factor case of mixed, and the
+    roots come from closed-form moments.  A one-point space takes its root
+    as one scalar in log space, (m w^(L/p))^(1/L) = exp(log m / L + log w / p),
+    with no array work per L; every other space goes through _field_g.  The
     martingale mode only inflates moments by its amplitude cap (1 + kappa);
     the Rosenthal constant used is the independent-summand one, so treat
     martingale envelopes as exploratory.  cl norms need the chaining
@@ -191,23 +196,22 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     """
     if spec.norm_kind == "cl":
         raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
-    lp = spec.norm_kind == "lp"
-    p_low = spec.p if lp else max(spec.p)
+    exps = _exponents(spec.p)
+    p_low = max(exps)
     if p_low < 2.0:
         raise ValueError("envelopes need every norm exponent >= 2")
-    if lp and spec.x_size == 1:
-        # one point: its L-norm is one scalar in log space, with no array work per L
-        log_w = np.log(spec.spaces[0].weights)[0]
+    if spec.x_size == 1:
+        log_w = sum(math.log(sp.weights[0]) / q for sp, q in zip(spec.spaces, exps))
 
         def g_fn(L: float) -> float:
-            return 2.0 * rosenthal_upper(L) * math.exp((_log_abs_moment(spec, L)[0] + log_w) / L)
+            return 2.0 * rosenthal_upper(L) * math.exp(_log_abs_moment(spec, L)[0] / L + log_w)
 
     else:
         shape = tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
         g_fn = _field_g(
             lambda L: np.exp(_log_abs_moment(spec, L).reshape(shape) / L),
             spec.spaces,
-            None if lp else spec.p,
+            exps,
         )
     if not np.any(_log_abs_moment(spec, p_low) > -math.inf):
         r0 = 0.0
@@ -220,13 +224,20 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=r0)
 
 
-def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> MomentEnvelope:
-    """Grid envelope from the exact moments of xi on X x Omega (Omega = last axis).
+def envelope_from_field(xi: GridFunction, p, L_grid) -> MomentEnvelope:
+    """Grid envelope from the exact moments of xi on X_1 x ... x X_l x Omega.
 
-    p_vec None takes the L-norm over one X axis, else the p_vec mixed norm.
-    r0 is 1 unless g vanishes at the knots, which happens only for a field
-    that is 0 everywhere and then at every L.
+    g(L) = 2 K_R(L) ||x -> (E|xi(x)|^L)^(1/L)||_p.  Omega is the last axis, a
+    probability grid; p is a number (lp, l = 1) or one exponent per X
+    factor, first factor innermost.  Every integral is an exact weighted
+    sum, and a finite field has finite moments of every order.  r0 is 1
+    unless g vanishes at the knots, which happens only for a field that is
+    0 everywhere and then at every L.
     """
+    exps = _exponents(p)
+    if xi.n_factors != len(exps) + 1:
+        raise ValueError("field must have one more factor (Omega, last axis) than the exponent vector")
+    p_low = max(exps)
     if p_low < 2.0:
         raise ValueError("the bound machinery assumes a largest norm exponent >= 2")
     L_grid = np.asarray(L_grid, dtype=float)
@@ -239,34 +250,9 @@ def _grid_field_envelope(xi: GridFunction, p_low: float, L_grid, p_vec=None) -> 
     n_x = xi.n_factors - 1
     # Omega stays last, the X axes are reversed ahead of it: first factor last
     values = np.transpose(xi.values, tuple(range(n_x - 1, -1, -1)) + (n_x,))
-    g = _field_g(_moment_root(values, omega.weights), xi.axes[:-1], p_vec)
+    g = _field_g(_moment_root(values, omega.weights), xi.axes[:-1], exps)
     g_values = np.array([g(L) for L in L_grid])
     return MomentEnvelope(L_grid, g_values, p_low, r0=1.0 if g_values.any() else 0.0)
-
-
-def envelope_from_field(xi: GridFunction, p: float, L_grid) -> MomentEnvelope:
-    """Envelope for a field sampled on X x Omega (Omega = last axis, probability grid).
-
-    g(L) = 2 * K_R(L) * ( integral_X E|xi(x)|^L mu(dx) )^(1/L),
-    with every integral an exact weighted sum; a finite field has finite
-    moments of every order.
-    """
-    if xi.n_factors != 2:
-        raise ValueError("envelope_from_field expects a two-factor function on X x Omega")
-    return _grid_field_envelope(xi, float(p), L_grid)
-
-
-def mixed_envelope_from_field(xi: GridFunction, p_vec, L_grid) -> MomentEnvelope:
-    """Mixed-norm envelope: g(L) = 2 K_R(L) * | (E|xi(x)|^L)^(1/L) |_{p_vec}.
-
-    xi lives on X_1 x ... x X_l x Omega with Omega the last axis; the moment
-    function x -> (E|xi(x)|^L)^(1/L) is formed pointwise and its mixed norm
-    over the X axes taken with exponents p_vec.
-    """
-    p_vec = tuple(float(q) for q in p_vec)
-    if xi.n_factors != len(p_vec) + 1:
-        raise ValueError("field must have one more factor (Omega, last axis) than p_vec")
-    return _grid_field_envelope(xi, max(p_vec), L_grid, p_vec)
 
 
 def _grid_refine(env: MomentEnvelope, i: int, log_z: float, best_val: float, best_L: float):

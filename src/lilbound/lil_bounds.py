@@ -17,12 +17,16 @@ A field envelope claims r0 = gamma when its g grows like L^gamma / log L
 by this argument:
 
 * Lower growth of g.  A field envelope is g(L) = 2 K_R(L) root(L) with
-  K_R(L) = C L / (e log L) and root(L) the norm of the field's moment
-  roots, which is >= c L^(gamma - 1) > 0 for all L >= p unless the field
-  is 0 (then g = 0, r0 = 0 and every bound is 0): a bounded root does not
-  fall as L grows, a gaussian one is >= sigma sqrt(L / e), and a weibull
-  one is Gamma(L / beta + 1)^(1/L) >= (L / (e beta))^(1/beta).  So
-  g(L) >= c1 L^gamma / log L with c1 = 2 C c / e.
+  K_R(L) = C L / (e log L) and root(L) = ||x -> (E|xi(x)|^L)^(1/L)||, the
+  norm of the pointwise moment roots in the space's fixed exponents.  That
+  norm is monotone in its argument, and root(L) >= c L^(gamma - 1) > 0 for
+  all L >= p unless the field is 0 (then g = 0, r0 = 0 and every bound is
+  0): each pointwise root is nondecreasing in L (Lyapunov; Omega is a
+  probability space), so a bounded field has root(L) >= root(p); a
+  gaussian root is >= sigma(x) sqrt(L / e), so root(L) >= ||sigma||
+  sqrt(L / e); and a weibull root is Gamma(L / beta + 1)^(1/L) >=
+  (L / (e beta))^(1/beta) at every x, so root(L) >= ||1|| (L / (e beta))^(1/beta).
+  So g(L) >= c1 L^gamma / log L with c1 = 2 C c / e.
 * Bound on log h.  log h(z) is the infimum of L log(g(L) / z), and with
   L* the root of c1 L*^gamma / log L* = z this is > 0 for L > L* and, for
   L <= L*, >= L log(c1 L^gamma / (z log L*)) >= -gamma (z log L* / c1)^(1/gamma) / e.
@@ -192,10 +196,10 @@ def upper_bound(
     is the same 1.0, flagged diverged, with terms 0 and no term evaluated.
     """
     u = _require_u(u)
-    verdict = class_Y_check(partition, w)
-    if not verdict:
+    violated_at = class_Y_check(partition, w)
+    if violated_at is not None:
         raise ValueError(
-            f"partition is not in class Y(w={w}); ratio drops below w^2 at k={verdict.violated_at}"
+            f"partition is not in class Y(w={w}); ratio drops below w^2 at k={violated_at}"
         )
     return _sum_block_tails(env, partition, norming, w, u)
 

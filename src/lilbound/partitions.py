@@ -10,7 +10,6 @@ __all__ = [
     "E_E",
     "Partition",
     "geometric_partition",
-    "YVerdict",
     "class_Y_check",
     "NormingSequence",
     "norming_value",
@@ -45,34 +44,24 @@ def geometric_partition(d: int) -> Partition:
     return Partition(d=int(d))
 
 
-@dataclass(frozen=True)
-class YVerdict:
-    """Membership verdict for the class Y(w): inf_k (A(k+1)-1)/A(k) >= w^2."""
+def class_Y_check(partition: Partition, w: float) -> Optional[int]:
+    """None if the partition belongs to Y(w), else the first k with ratio(k) < w^2.
 
-    status: str  # "member" | "violated"
-    violated_at: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.status == "member"
-
-
-def class_Y_check(partition: Partition, w: float) -> YVerdict:
-    """Check whether the partition belongs to Y(w).
-
-    The ratio (d^(k+1) - d)/(d^k - d + 1) = d + (d^2 - 2d)/A(k) decreases to
-    d (it equals 2 identically for d = 2), so the infimum is d and membership
-    is w^2 <= d, non-strict.  Otherwise the ratio rounds to d itself within a
-    few dozen blocks, and the first k with ratio(k) < w^2 is reported.
+    Y(w) asks inf_k (A(k+1) - 1)/A(k) >= w^2.  The ratio
+    (d^(k+1) - d)/(d^k - d + 1) = d + (d^2 - 2d)/A(k) decreases to d (it
+    equals 2 identically for d = 2), so the infimum is d and membership is
+    w^2 <= d, non-strict.  Otherwise the ratio rounds to d itself within a
+    few dozen blocks, and the first k with ratio(k) < w^2 is returned.
     """
     if not w > 1.0:
         raise ValueError("class Y(w) is used with w > 1")
     w2 = w * w
     if w2 <= partition.d:
-        return YVerdict("member")
+        return None
     k = 1
     while partition.ratio(k) >= w2:
         k += 1
-    return YVerdict("violated", violated_at=k)
+    return k
 
 
 @dataclass(frozen=True)

@@ -263,10 +263,9 @@ def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
     """||S(n)|| for a (trials, n, dim) stack of partial sums -> (trials, n)."""
     if spec.norm_kind == "cl":
         shaped = S.reshape(S.shape[0], S.shape[1], spec.t_size, spec.spaces[0].size)
-        return _iterated_norm(shaped, [spec.spaces[0].weights], (spec.p,)).max(axis=2)
-    exponents = spec.p if spec.norm_kind == "mixed" else (spec.p,)
+        return _iterated_norm(shaped, [spec.spaces[0].weights], _exponents(spec.p)).max(axis=2)
     shaped = S.reshape(S.shape[0], S.shape[1], *reversed([sp.size for sp in spec.spaces]))
-    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], exponents)
+    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], _exponents(spec.p))
 
 
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:

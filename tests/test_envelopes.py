@@ -1,5 +1,6 @@
 """Moment envelopes and the moment-to-tail conversion."""
 
+import hashlib
 import math
 import sys
 
@@ -21,7 +22,6 @@ from lilbound import (
     envelope_from_json,
     envelope_to_json,
     evaluate_bound_curve,
-    mixed_envelope_from_field,
     rosenthal_upper,
     tail_argmin,
     tail_from_envelope,
@@ -108,7 +108,7 @@ def test_mixed_envelope_matches_plain_on_point_space():
     xi = GridFunction((x, omega), vals)
     grid = np.geomspace(2.0, 1e6, 129)
     plain = envelope_from_field(xi, 2.0, grid)
-    mixed = mixed_envelope_from_field(xi, (2.0,), grid)
+    mixed = envelope_from_field(xi, (2.0,), grid)
     assert np.allclose(mixed.g_values, plain.g_values, rtol=1e-12)
 
 
@@ -122,41 +122,39 @@ def test_mixed_envelope_dominates_pointwise_root_norm():
     vals -= vals.mean(axis=1, keepdims=True)
     xi = GridFunction((x, omega), vals)
     grid = np.geomspace(2.0, 1e4, 65)
-    env = mixed_envelope_from_field(xi, (2.0,), grid)
+    env = envelope_from_field(xi, (2.0,), grid)
     L = float(grid[20])
     root = (np.abs(vals) ** L @ omega.weights) ** (1.0 / L)
     expected = mixed_norm(GridFunction((x,), root), (2.0,))
     assert env.g(L) == pytest.approx(2.0 * rosenthal_upper(L) * expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("build", [envelope_from_field, mixed_envelope_from_field], ids=["lp", "mixed"])
-def test_field_envelopes_reject_an_uncentered_field(build):
+@pytest.mark.parametrize("p", [2.0, (2.0,)], ids=["lp", "mixed"])
+def test_field_envelopes_reject_an_uncentered_field(p):
     # the Rosenthal step inside g needs centered summands, as IndexedField does
     x = GridMeasureSpace(np.array([1.0]))
     omega = GridMeasureSpace(np.array([0.5, 0.5]))
     xi = GridFunction((x, omega), np.array([[1.0, 1.0]]))
-    p = 2.0 if build is envelope_from_field else (2.0,)
     with pytest.raises(ValueError, match="not centered"):
-        build(xi, p, np.geomspace(2.0, 1e4, 9))
+        envelope_from_field(xi, p, np.geomspace(2.0, 1e4, 9))
 
 
 def test_two_point_gaussian_envelope_matches_log_space_closed_form():
-    # amplitudes on both sides of 1: sigma 0.5 underflows and sigma 3 overflows
-    # a direct moment sum at large L, the max-scaled norm must do neither
+    # amplitudes on both sides of 1: E|xi|^L underflows for sigma 0.5 and
+    # overflows for sigma 3 at large L, so each root must come from its log moment
     sigma, weights = (0.5, 3.0), (0.3, 0.7)
     spec = FieldSpec(
         family="gaussian", spaces=(GridMeasureSpace(np.array(weights)),), sigma=np.array(sigma), p=2.0
     )
     env = envelope_for_field_spec(spec)
     for L in (2.0, 1e3, 1e8):
-        log_terms = [
-            math.log(w) + L * math.log(s) + 0.5 * L * math.log(2.0)
-            + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
-            for s, w in zip(sigma, weights)
+        log_roots = [
+            (L * math.log(s) + 0.5 * L * math.log(2.0)
+             + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / L
+            for s in sigma
         ]
-        top = max(log_terms)
-        log_mass = top + math.log(sum(math.exp(t - top) for t in log_terms))
-        expected = 2.0 * rosenthal_upper(L) * math.exp(log_mass / L)
+        norm = math.sqrt(sum(w * math.exp(2.0 * r) for w, r in zip(weights, log_roots)))
+        expected = 2.0 * rosenthal_upper(L) * norm
         assert math.isfinite(env.g(L))
         assert env.g(L) == pytest.approx(expected, rel=1e-12)
 
@@ -439,7 +437,7 @@ def _field_envelope_cases():
     yield "from-field", envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e8, 65)), _field_floor(xi), 1.0
     x2 = GridMeasureSpace(rng.uniform(0.5, 2.0, 2))
     xi = GridFunction((x, x2, omega), _centered(rng, (4, 2, 3), omega))
-    yield "mixed-from-field", mixed_envelope_from_field(xi, (2.0, 3.0), np.geomspace(3.0, 1e8, 65)), _field_floor(xi), 1.0
+    yield "mixed-from-field", envelope_from_field(xi, (2.0, 3.0), np.geomspace(3.0, 1e8, 65)), _field_floor(xi), 1.0
 
 
 def test_field_envelopes_grow_at_least_like_L_over_log_L_at_every_knot():
@@ -465,7 +463,103 @@ def test_a_vanishing_field_claims_no_r0():
         envelope_for_field_spec(scalar_zero),
         envelope_for_field_spec(sigma_zero),
         envelope_from_field(xi, 2.0, np.geomspace(2.0, 1e4, 9)),
-        mixed_envelope_from_field(xi, (2.0,), np.geomspace(2.0, 1e4, 9)),
+        envelope_from_field(xi, (2.0,), np.geomspace(2.0, 1e4, 9)),
     ):
         assert env.r0 == 0.0 and not env.g_values.any()
         assert "r0" not in envelope_to_json(env)
+
+
+def _log_abs_rademacher_sum(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|S_n| values, their log probabilities) for a sum of n Rademacher signs, n even.
+
+    S_n = 2B - n with B binomial(n, 1/2); +j and -j are folded into |S_n| = j.
+    """
+    k = np.arange(n // 2 + 1)
+    log_pmf = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
+    log_pmf -= n * math.log(2.0)
+    log_pmf[:-1] += math.log(2.0)
+    return (n - 2 * k).astype(float), log_pmf
+
+
+def _exact_scaled_roots(n: int, weights: np.ndarray, L_values: np.ndarray) -> np.ndarray:
+    """(E ||S_n||_2^L)^(1/L) / sqrt(n) at each L, for iid Rademacher sums at the points of X, exactly.
+
+    ||S_n||_2^2 = sum_x w_x S_n(x)^2; the expectation runs over the joint law of
+    the independent |S_n(x)|, summed in log space.
+    """
+    values, log_pmf = _log_abs_rademacher_sum(n)
+    sq, log_p = np.zeros(()), np.zeros(())
+    for w in weights:
+        sq = np.add.outer(sq, w * values**2)
+        log_p = np.add.outer(log_p, log_pmf)
+    with np.errstate(divide="ignore"):
+        log_sq = np.log(sq).ravel()
+    roots = []
+    for L in L_values:
+        terms = log_p.ravel() + 0.5 * L * log_sq
+        top = terms.max()
+        roots.append(math.exp((top + math.log(np.exp(terms - top).sum())) / L))
+    return np.array(roots) / math.sqrt(n)
+
+
+def _independent_signs(x: GridMeasureSpace) -> GridFunction:
+    """Independent Rademacher signs at the points of x, on x X Omega (2^|x| equally likely outcomes)."""
+    omega = np.arange(2**x.size)
+    values = np.array([2.0 * ((omega >> i) & 1) - 1.0 for i in range(x.size)])
+    return GridFunction((x, GridMeasureSpace.uniform_probability(2**x.size)), values)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.array([0.25]), np.array([1.0]), np.array([100.0]), np.ones(3)],
+    ids=["one-point-w0.25", "one-point-w1", "one-point-w100", "three-point-counting"],
+)
+def test_field_envelopes_bound_the_exact_moments_for_any_weights(weights):
+    # g(L) >= (E||S_n||_2^L)^(1/L) / sqrt(n) at n = 100 and every knot L <= 400.  An
+    # L-norm over X instead of the 2-norm holds only when mu(X) <= 1: at weight 100
+    # it falls to 0.404 of the exact root.
+    n = 100
+    x = GridMeasureSpace(weights)
+    spec_env = envelope_for_field_spec(FieldSpec(family="rademacher", spaces=(x,), p=2.0))
+    knots = spec_env.L_grid[spec_env.L_grid <= 400.0]
+    field_env = envelope_from_field(_independent_signs(x), 2.0, knots)
+    exact = _exact_scaled_roots(n, weights, knots)
+    assert knots.size > 50
+    assert np.all(spec_env.g_values[: knots.size] >= exact)
+    assert np.all(field_env.g_values >= exact)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_heavy_tailed_field_envelopes_stay_finite_where_a_root_squared_overflows():
+    # weibull beta = 0.05 has moment roots near 1e177 at L = 1e8: root^2 overflows,
+    # the largest root factored out does not
+    for spaces, kind, p in ((_THREE, "lp", 2.0), (_TWO, "mixed", (2.0, 2.0))):
+        env = envelope_for_field_spec(FieldSpec(family="weibull", spaces=spaces, norm_kind=kind, p=p, beta=0.05))
+        root = math.exp(math.lgamma(1e8 / 0.05 + 1.0) / 1e8)
+        mass = math.prod(sp.total_mass for sp in spaces) ** 0.5
+        assert env.g(1e8) == pytest.approx(2.0 * rosenthal_upper(1e8) * root * mass, rel=1e-12)
+
+
+# sha256 of g_values (float64, little-endian) of the six criterion-06 field-spec
+# envelopes; the benchmark's bound_sweep builds its rademacher-lp, uniform-lp and
+# uniform-mixed envelopes from three of these specs
+_PINNED_G_SHA256 = {
+    "rademacher-lp": "1bb17c4fd3c47c390e50d172d14c72bbe0509126f70ac39e5888bb0cf13177db",
+    "rademacher-mixed": "20ad5bd1aaccd7b7be7757c16c9cf3612977bac1a7738799c8f6896e88201732",
+    "uniform-lp": "d01d8edfe6ca9b788a565ca0d966308287fccc204a50f46d78ecdbc607a13456",
+    "uniform-mixed": "e166359b279eb14464a9ba5cc509b110bdd0588bd28b079cad83b1d1372cc1c5",
+    "weibull-lp": "0ce594a3dd67f6887e955eb00b12e1376ecf984906aee9caa5a3c08c514d4869",
+    "weibull-mixed": "8efd549b136afda24602464b3a67c8c7edca1327e51fd994f383fcd46e57e077",
+}
+
+
+def test_criterion_06_envelope_bytes_are_pinned():
+    got = {}
+    for family in ("rademacher", "uniform", "weibull"):
+        for kind, spec in (
+            ("lp", FieldSpec(family=family, spaces=_SCALAR, p=2.0)),
+            ("mixed", FieldSpec(family=family, spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0))),
+        ):
+            g = envelope_for_field_spec(spec).g_values.astype("<f8")
+            got[f"{family}-{kind}"] = hashlib.sha256(g.tobytes()).hexdigest()
+    assert got == _PINNED_G_SHA256

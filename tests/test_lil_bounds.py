@@ -75,7 +75,7 @@ def test_bound_requires_u_at_least_e():
 
 def test_bound_rejects_partition_outside_class():
     env = _constant_envelope()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ratio drops below w\^2 at k=1$"):
         upper_bound(env, geometric_partition(2), _norming(), math.sqrt(2.0) + 0.01, 10.0)
 
 

@@ -43,10 +43,8 @@ def test_geometric_ratio_decreases_to_d():
 def test_class_membership_verdicts_for_geometric():
     for d in (2, 3, 7):
         part = geometric_partition(d)
-        assert class_Y_check(part, max_admissible_w(d))
-        verdict = class_Y_check(part, math.sqrt(d) + 1e-6)
-        assert verdict.status == "violated"
-        assert not verdict
+        assert class_Y_check(part, max_admissible_w(d)) is None
+        assert class_Y_check(part, math.sqrt(d) + 1e-6) is not None
 
 
 def test_max_admissible_w_squares_below_d():
@@ -56,9 +54,7 @@ def test_max_admissible_w_squares_below_d():
 
 def test_class_membership_violation_located():
     # d = 3: ratio(1) = 6 and ratio(2) = 24/7 < 3.5
-    verdict = class_Y_check(geometric_partition(3), math.sqrt(3.5))
-    assert verdict.status == "violated"
-    assert verdict.violated_at == 2
+    assert class_Y_check(geometric_partition(3), math.sqrt(3.5)) == 2
 
 
 def test_violation_found_for_w_squared_one_step_above_d():
@@ -67,9 +63,9 @@ def test_violation_found_for_w_squared_one_step_above_d():
         w = math.sqrt(np.nextafter(float(d), math.inf))
         while w * w <= d:
             w = np.nextafter(w, math.inf)
-        verdict = class_Y_check(geometric_partition(d), float(w))
-        assert verdict.status == "violated"
-        assert 1 <= verdict.violated_at <= 64
+        violated_at = class_Y_check(geometric_partition(d), float(w))
+        assert violated_at is not None
+        assert 1 <= violated_at <= 64
 
 
 def test_class_check_requires_w_above_one():

@@ -424,16 +424,14 @@ def test_multi_point_envelopes_match_hand_written_sums():
         expected = 2.0 * rosenthal_upper(L) * outer ** (1.0 / 3.0)
         assert env.g(L) == pytest.approx(expected, rel=1e-12)
 
-    # lp of order L over three points, summed in log space against overflow.
+    # lp is the one-factor case: the 2-norm over three points of the moment roots
     w, sig3 = [0.2, 0.5, 0.3], [0.5, 1.0, 2.0]
     lp = FieldSpec(family="gaussian", spaces=(GridMeasureSpace(np.array(w)),), p=2.0, sigma=np.array(sig3))
     env = envelope_for_field_spec(lp)
     for L in env.L_grid[::8]:
         L = float(L)
-        logs = [math.log(wx) + _gaussian_log_moment(sx, L) for wx, sx in zip(w, sig3)]
-        top = max(logs)
-        log_mass = top + math.log(sum(math.exp(x - top) for x in logs))
-        expected = 2.0 * rosenthal_upper(L) * math.exp(log_mass / L)
+        total = sum(wx * math.exp(_gaussian_log_moment(sx, L) / L) ** 2.0 for wx, sx in zip(w, sig3))
+        expected = 2.0 * rosenthal_upper(L) * total ** (1.0 / 2.0)
         assert env.g(L) == pytest.approx(expected, rel=1e-12)
 
 
