@@ -1,5 +1,6 @@
 """Chaining machinery: moment distances, coverings, and the entropy functional."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -273,6 +274,26 @@ def test_nu_envelope_is_the_square_form_byte_for_byte():
         cov = EmpiricalCovering.from_distance_matrix(_square_distance_r_matrix(field, p, Z) / sig)
         ref[i] = nu_p(field, p, Z, covering=cov, theta_grid=thetas)
     assert g.tobytes() == ref.tobytes()
+
+
+# sha256 of g_values (float64, little-endian) of nu_envelope on the bound_sweep
+# theta field, p = 2, Z = geomspace(1, 200, 32), by seed.  The square-form test
+# above calls the same moment root, so only these catch a change of its arithmetic.
+_PINNED_CHAINED_G_SHA256 = {
+    7331: "87a0a7781905db6f12d9cdb892fef4fa261756d03fd8904f94fe9d59ab09f82f",
+    1: "e0408c531194cf077b5c04e0cef2310febc21c0838d9808bca614a37508127d2",
+    2: "510295a59a4f512723dc316b7d2c94f03d847a49e15cb18357b01c7508f1231e",
+}
+
+
+def test_chained_envelope_bytes_are_pinned():
+    got = {}
+    for seed in _PINNED_CHAINED_G_SHA256:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            env = nu_envelope(_theta_field(seed, 16, 64), 2.0, np.geomspace(1.0, 200.0, 32))
+        got[seed] = hashlib.sha256(env.g_values.astype("<f8").tobytes()).hexdigest()
+    assert got == _PINNED_CHAINED_G_SHA256
 
 
 @pytest.mark.parametrize("s_above_one", [False, True], ids=["s<1", "s>1"])
