@@ -103,7 +103,10 @@ class IndexedField:
         """v -> (E|xi(x,t,.) - xi(x,s,.)|^v)^(1/v) over _pairs, shape (nx, #pairs).
 
         |a - b| = |b - a| bit for bit, so a pair t < s covers (s, t) too and
-        distance_r_matrix mirrors it.  Built once per field.
+        distance_r_matrix mirrors it.  Built once per field: the root keeps
+        the pairs' log(|a - b|/m) and one work array of the same size, and
+        each order costs a multiply and an exp per entry (see _moment_root;
+        like it, not re-entrant).
         """
         t, s = self._pairs
         return _moment_root(self.values[:, t, :] - self.values[:, s, :], self.omega_weights)
@@ -244,12 +247,12 @@ class EmpiricalCovering:
         d_min = dist[0].copy()
         thresholds = []
         for _ in range(1, m):
-            far = int(np.argmax(d_min))
+            far = int(d_min.argmax())
             r = float(d_min[far])
             if r <= 0.0:
                 break
             thresholds.append(r)
-            d_min = np.minimum(d_min, dist[far])
+            np.minimum(d_min, dist[far], out=d_min)
         return cls(np.asarray(thresholds))
 
     @property

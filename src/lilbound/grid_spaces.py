@@ -146,18 +146,59 @@ def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
     return x
 
 
+_PAGE_BYTES = 4096
+_SLOT_BYTES = 320
+
+
+def _staggered(shape: tuple, slot: int) -> np.ndarray:
+    """Uninitialized float64 array of shape, starting slot * 320 bytes past a 4 KiB page boundary.
+
+    Work arrays a whole number of pages long (a (16, 2016) pair array is
+    exactly 63 pages) would otherwise start at one offset within the page,
+    and a kernel whose output runs a little ahead of its input there stalls
+    on false store-to-load dependencies (4K aliasing).
+    """
+    n_bytes = 8 * math.prod(shape)
+    raw = np.empty(n_bytes + _PAGE_BYTES + slot * _SLOT_BYTES, dtype=np.uint8)
+    start = -raw.ctypes.data % _PAGE_BYTES + slot * _SLOT_BYTES
+    return raw[start : start + n_bytes].view(np.float64).reshape(shape)
+
+
 def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
     """v -> (E|a|^v)^(1/v) over the last axis (weights w), as m (E(|a|/m)^v)^(1/v).
 
     m is the largest |a| of the row (a row with m = 0 gives 0).  The largest
     term of each sum is then exactly its weight, so no order v underflows it
-    and none overflows.  The scaling depends on a only and is done once, for
-    every v asked.
+    and none overflows.  log(|a|/m) is taken once, outcome axis first, so
+    each v costs one multiply and one exp per entry (log 0 = -inf, whose
+    exp is 0); the weighted sum then runs in index order and the outer root
+    is a power, as in _lq_norm.  The work arrays are allocated once, on
+    distinct page offsets (_staggered), and each call returns a fresh
+    array.  A root is not re-entrant: two threads must not call one root.
     """
     a = np.abs(a)
     m = a.max(axis=-1)
-    ratio = np.divide(a, m[..., None], out=np.zeros_like(a), where=m[..., None] > 0.0)
-    return lambda v: m * _lq_norm(ratio, w, v)
+    np.divide(a, m[..., None], out=a, where=m[..., None] > 0.0)  # a row with m = 0 is 0 already
+    log_ratio = _staggered((w.size,) + m.shape, 0)
+    log_ratio[...] = np.moveaxis(a, -1, 0)
+    del a  # freed before the work array is allocated
+    with np.errstate(divide="ignore"):
+        np.log(log_ratio, out=log_ratio)
+    work = _staggered(log_ratio.shape, 1)
+
+    def root(v: float) -> np.ndarray:
+        np.multiply(log_ratio, v, out=work)
+        np.exp(work, out=work)
+        total = work[0]
+        total *= w[0]
+        for i in range(1, w.size):
+            column = work[i]
+            column *= w[i]
+            total += column
+        total **= 1.0 / v
+        return m * total
+
+    return root
 
 
 def mixed_norm(f: GridFunction, p) -> float:

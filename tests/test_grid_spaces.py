@@ -1,6 +1,8 @@
 """Mixed-norm grid calculus: identities, inequality slacks, serialization."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from lilbound import (
     mixed_norm,
     permutation_slack,
 )
-from lilbound.grid_spaces import _weighted_sum
+from lilbound.grid_spaces import _moment_root, _weighted_sum
 
 SLACK_FLOOR = -1e-10
 
@@ -238,3 +240,46 @@ def test_weighted_sum_of_a_row_depends_on_that_row_alone(width):
         for x, wk in zip(row[1:], w[1:]):
             by_hand = by_hand + x * wk
         assert alone.tobytes() == np.float64(by_hand).tobytes()
+
+
+@pytest.mark.parametrize("n_omega", [2, 3, 8, 16])
+def test_moment_root_matches_a_plain_power_per_row(n_omega):
+    # m (sum_i w_i (|a_i|/m)^v)^(1/v) row by row, up to v = 1e8, the top of
+    # envelope_from_field's grid.  Rows with zero entries and all-zero rows
+    # are in; an all-zero row gives exactly 0, and log 0 must not warn.
+    rng = np.random.default_rng(20261020 + n_omega)
+    w = rng.uniform(0.2, 1.0, n_omega)
+    w /= w.sum()
+    a = rng.uniform(-2.0, 2.0, (3, 7, n_omega))
+    a[rng.uniform(size=a.shape) < 0.2] = 0.0
+    a[0, 2] = a[2, 5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = _moment_root(a, w)
+        for v in np.append(np.geomspace(1.0, 1e3, 13), 1e8):
+            got = root(v)
+            assert got.shape == a.shape[:-1]
+            for idx in np.ndindex(*a.shape[:-1]):
+                row = np.abs(a[idx])
+                m = row.max()
+                if m == 0.0:
+                    assert got[idx] == 0.0
+                else:
+                    ref = m * float(np.sum(w * (row / m) ** v)) ** (1.0 / v)
+                    assert got[idx] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_moment_root_allocates_only_its_output():
+    # Its work arrays are allocated once per root; a call then allocates the
+    # fresh array it returns and nothing of the pair array's size besides.
+    rng = np.random.default_rng(20261021)
+    root = _moment_root(rng.uniform(-1.0, 1.0, (16, 2016, 2)), np.array([0.4, 0.6]))
+    root(2.5)
+    tracemalloc.start()
+    try:
+        out = root(7.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 258_048
+    assert peak <= out.nbytes + 4096
