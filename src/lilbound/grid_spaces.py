@@ -155,8 +155,8 @@ def _staggered(shape: tuple, slot: int) -> np.ndarray:
 
     Work arrays a whole number of pages long (a (16, 2016) pair array is
     exactly 63 pages) would otherwise start at one offset within the page,
-    and a kernel whose output runs a little ahead of its input there stalls
-    on false store-to-load dependencies (4K aliasing).
+    and a kernel whose output runs a little ahead of its input there can
+    stall on false store-to-load dependencies (4K aliasing).
     """
     n_bytes = 8 * math.prod(shape)
     raw = np.empty(n_bytes + _PAGE_BYTES + slot * _SLOT_BYTES, dtype=np.uint8)
@@ -171,7 +171,8 @@ def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
     term of each sum is then exactly its weight, so no order v underflows it
     and none overflows.  log(|a|/m) is taken once, outcome axis first, so
     each v costs one multiply and one exp per entry (log 0 = -inf, whose
-    exp is 0); the weighted sum then runs in index order and the outer root
+    exp is 0); the weighted sum then runs in index order, accumulated in the
+    work array (_weighted_sum would allocate its total), and the outer root
     is a power, as in _lq_norm.  The work arrays are allocated once, on
     distinct page offsets (_staggered), and each call returns a fresh
     array.  A root is not re-entrant: two threads must not call one root.
