@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -109,12 +109,12 @@ def _exponents(p) -> tuple:
     return exps
 
 
-def _weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i x[..., i] w[i] over the last axis, in index order; it may overwrite x.
+def _weighted_sum(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_i x[..., i] w[i] over the last axis, in index order, into out (fresh if None); it may overwrite x.
 
     Elementwise, so a row's bits depend on that row alone, unlike in a matrix product.
     """
-    total = x[..., 0] * w[0]
+    total = np.multiply(x[..., 0], w[0], out=out)
     for i in range(1, w.size):
         column = x[..., i]
         column *= w[i]
@@ -122,27 +122,40 @@ def _weighted_sum(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return total
 
 
-def _lq_norm(x: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
-    """L^q(w) norm over the last axis of a nonnegative array.
+def _lq_norm(x: np.ndarray, w: np.ndarray, q: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """L^q(w) norm over the last axis of a nonnegative array, into out (fresh if None); it may overwrite x.
 
     A one-point axis needs no power or root: (x^q w)^(1/q) = x w^(1/q).
     """
     if w.size == 1:
-        return x[..., 0] * w[0] ** (1.0 / q)
-    return _weighted_sum(x**q, w) ** (1.0 / q)
+        return np.multiply(x[..., 0], w[0] ** (1.0 / q), out=out)
+    x **= q
+    total = _weighted_sum(x, w, out)
+    total **= 1.0 / q
+    return total
 
 
-def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
+def _iterated_norm(x: np.ndarray, weights, exps, work: Optional[np.ndarray] = None) -> np.ndarray:
     """Iterated norm of |x| over its trailing axes, unchecked.
 
     Factor k (weights[k], exps[k]) sits on axis -1-k, so factor 0, the
     innermost, is the last axis and is reduced first; leading axes are kept.
-    |x| is taken here so that it is freed after the first reduction: the
-    simulation's arrays hold a whole group of trajectories.
+    Without work, |x| is taken into a fresh array, which the reductions
+    overwrite, and each reduction allocates its output.  With work, a flat
+    array of at least x.size entries, nothing is allocated: x (C-contiguous)
+    is overwritten with |x|, and each reduction writes into the other of x
+    and work, so the result is a view of one of them.
     """
-    x = np.abs(x)
+    if work is None:
+        x = np.abs(x)
+        for w, q in zip(weights, exps):
+            x = _lq_norm(x, w, q)
+        return x
+    np.abs(x, out=x)
     for w, q in zip(weights, exps):
-        x = _lq_norm(x, w, q)
+        out = work[: x.size // w.size].reshape(x.shape[:-1])
+        work = x.reshape(-1)
+        x = _lq_norm(x, w, q, out)
     return x
 
 

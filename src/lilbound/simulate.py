@@ -9,13 +9,18 @@ Reproducibility contract: each trial owns a counter-based substream keyed by
 (seed, trial index) with a fixed in-trial draw order, so results are
 bit-identical for any worker count and any chunking of the trial range.
 
-Trials of either dependence run in chunks of _CHUNK, drawn _GROUP trials at
-a time into one trial-major stage.  An iid group is summed and normed in the
-stage.  A martingale group is copied step-major into one (n, trials, dim)
-buffer, and once the chunk is drawn one Python loop over n turns that buffer
-into the partial sums of all of its trials.  Every value is computed as in
-the one-trial recurrence, so the draws and the output bytes are those of
-stepping each trial on its own.
+Trials of either dependence run in chunks of _CHUNK.  Each chunk keeps one
+Philox generator and re-keys it to each trial's substream.  iid trials run
+_BLOCK at a time through draw -> cumsum -> norm -> divide-and-max, in place
+in one small stage, its norm's work array and one scaled array, all
+allocated once per chunk, so a block is finished while it is in cache.
+Martingale trials are drawn _GROUP at a time into a stage and copied
+step-major into one (n, trials, dim) buffer, and once the chunk is drawn one
+Python loop over n turns that buffer into the partial sums of all of its
+trials.  Every value is computed as in the one-trial recurrence, so the
+draws and the output bytes are those of stepping each trial on its own.
+Signs are read from raw Philox words, as the bits numpy's integers(0, 2)
+takes from them (_fill_signs).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 # package records its own run stats (ROADMAP direction 4)
 from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
-from .grid_spaces import _exponents, _iterated_norm, _json_number
+from .grid_spaces import _exponents, _iterated_norm, _json_number, _staggered
 from .lil_bounds import TailBoundCurve, _check_u_grid
 from .partitions import E_E, NormingSequence
 
@@ -52,7 +57,12 @@ __all__ = [
 
 _FAMILIES = ("rademacher", "uniform", "gaussian", "weibull")
 _CHUNK = 128
-_GROUP = 32
+_GROUP = 32  # martingale trials drawn per stage
+# iid trials per block: 8 trials to n = 10^4 are 0.64 MB per dimension.  At one
+# worker, blocks of 1 and 8 trials ran equally fast; at two, rademacher-lp ran at
+# ~40M trial-steps/s with 1-trial blocks against 65-73M with 8, the difference
+# being GIL hand-offs between the workers' short numpy calls (BENCH_21.json).
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -223,23 +233,74 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
-def _fill_signs(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out with fair +-1 signs, drawn as integers in {0, 1}."""
-    np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
-    out -= 1.0
+def _rekey(rng: np.random.Generator, seed: int, trial: int) -> None:
+    """Put rng's Philox at the start of trial's substream, the state _trial_rng(seed, trial) starts in.
+
+    Counter 0, key (seed, trial), an empty word buffer and no buffered
+    32-bit half.  It costs about a third of building a new generator,
+    which also seeds a SeedSequence from OS entropy.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, trial], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # the buffer is used up: the next draw computes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
-def _fill_steps(spec: FieldSpec, rng: np.random.Generator, out: np.ndarray) -> None:
+def _fill_signs(rng: np.random.Generator, *outs: np.ndarray) -> None:
+    """Fill outs, in turn, with the signs rng.integers(0, 2, size=m) * 2.0 - 1.0 over their m entries.
+
+    integers(0, 2) maps each 32-bit half of a raw 64-bit word, low half
+    first, to its top bit (Lemire's multiply-shift by 2), so the m signs
+    are bits 31 and 63 of the next ceil(m/2) raw words, read here by shifts.
+    An odd m leaves the last word's high half buffered, as integers does.
+    rng must hold no buffered half on entry, which holds after any draw but
+    an integer one; so a trial draws all of its signs in one call.
+    """
+    m = sum(out.size for out in outs)
+    raw = rng.bit_generator.random_raw((m + 1) // 2)
+    bits = np.empty((raw.size, 2), dtype=np.uint64)
+    np.right_shift(raw, 31, out=bits[:, 0])
+    bits[:, 0] &= 1
+    np.right_shift(raw, 63, out=bits[:, 1])
+    flat = bits.reshape(-1)
+    start = 0
+    for out in outs:
+        np.multiply(flat[start : start + out.size].reshape(out.shape), 2.0, out=out)
+        out -= 1.0
+        start += out.size
+    if m % 2:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
+        rng.bit_generator.state = state
+
+
+def _fill_steps(
+    spec: FieldSpec,
+    rng: np.random.Generator,
+    out: np.ndarray,
+    signs: Optional[np.ndarray] = None,
+    shared: Optional[np.ndarray] = None,
+) -> None:
     """Fill an (n, dim) buffer with one trial's steps.
 
     Fixed in-trial draw order: magnitudes (or symmetric values), then extra
     signs, then for a martingale spec the shared sign s_j of each step, which
-    replaces the sign of every entry of that step.
+    replaces the sign of every entry of that step.  signs (out's shape, for
+    weibull) and shared (length n, for a martingale) are reused scratch,
+    allocated here when not given.
     """
+    signed = []  # arrays to fill with signs, in draw order, after the values
     if spec.family == "rademacher":
-        _fill_signs(rng, out)
+        signed.append(out)
     elif spec.family == "uniform":
-        out[...] = rng.uniform(-spec.a, spec.a, size=out.shape)
+        # rng.uniform(-a, a)'s own low + range * u, without its temporary
+        rng.random(out=out)
+        out *= spec.a - (-spec.a)
+        out += -spec.a
     elif spec.family == "gaussian":
         rng.standard_normal(out=out)
         out *= np.tile(np.atleast_1d(spec.sigma), spec.t_size)
@@ -249,62 +310,88 @@ def _fill_steps(spec: FieldSpec, rng: np.random.Generator, out: np.ndarray) -> N
         np.log1p(out, out=out)
         np.negative(out, out=out)
         out **= 1.0 / spec.beta
-        signs = np.empty_like(out)
-        _fill_signs(rng, signs)
+        signs = np.empty_like(out) if signs is None else signs
+        signed.append(signs)
+    if spec.dependence == "martingale":
+        shared = np.empty(len(out)) if shared is None else shared
+        signed.append(shared)
+    if signed:
+        _fill_signs(rng, *signed)
+    if spec.family == "weibull":
         out *= signs
     if spec.dependence == "martingale":
-        shared = np.empty(len(out))
-        _fill_signs(rng, shared)
         np.abs(out, out=out)
         out *= shared[:, None]
 
 
-def _norm_trajectory(spec: FieldSpec, S: np.ndarray) -> np.ndarray:
-    """||S(n)|| for a (trials, n, dim) stack of partial sums -> (trials, n)."""
+def _norm_trajectory(spec: FieldSpec, S: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """||S(n)|| for a (trials, n, dim) stack of partial sums -> (trials, n).
+
+    With work (a flat array of S.size entries), S is overwritten and nothing
+    of its size is allocated (_iterated_norm); the cl norm's max over the
+    slots still allocates its (trials, n) result.
+    """
     if spec.norm_kind == "cl":
         shaped = S.reshape(S.shape[0], S.shape[1], spec.t_size, spec.spaces[0].size)
-        return _iterated_norm(shaped, [spec.spaces[0].weights], _exponents(spec.p)).max(axis=2)
+        return _iterated_norm(shaped, [spec.spaces[0].weights], _exponents(spec.p), work).max(axis=2)
     shaped = S.reshape(S.shape[0], S.shape[1], *reversed([sp.size for sp in spec.spaces]))
-    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], _exponents(spec.p))
+    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], _exponents(spec.p), work)
 
 
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
     """Sups of trials lo..hi-1 -> (len(divisors), hi - lo).
 
-    The trials are drawn _GROUP at a time into a trial-major stage, because
-    the Gaussian and Weibull fills write with out=, which needs contiguous rows.
+    One generator is re-keyed to each trial's substream (_rekey), at about
+    a third of the cost of a new one.  iid trials run _BLOCK at a time: draw,
+    cumsum and norm in place in the stage (the norm alternating with one
+    work array), then divide-and-max through one scaled array.  Martingale
+    trials are drawn _GROUP at a time, copied step-major into X, summed by
+    _martingale_sums once the chunk is drawn, and normed a group at a time,
+    with the scaled array in the stage, which is free by then.  Every buffer
+    is allocated once per call; the stage, work and scaled arrays start at
+    staggered page offsets so that the streams of one operation do not
+    alias.  The stage is trial-major because the Gaussian and Weibull fills
+    write with out=, which needs contiguous rows.
     """
     count = hi - lo
     martingale = spec.dependence == "martingale"
-    stage = np.empty((min(_GROUP, count), n_max, spec.draw_dim))
+    rows = min(_GROUP if martingale else _BLOCK, count)
+    stage = _staggered((rows, n_max, spec.draw_dim), 0)
+    signs = np.empty((n_max, spec.draw_dim)) if spec.family == "weibull" else None
+    shared = np.empty(n_max) if martingale else None
+    sups = np.empty((len(divisors), count))
+    rng = _trial_rng(seed, lo)
     if martingale:
         X = np.empty((n_max, count, spec.draw_dim))
-    sups = np.empty((len(divisors), count))
-    for g in range(0, count, _GROUP):
-        part = stage[: min(_GROUP, count - g)]
+        # step-major, as the norms of X are
+        scaled = stage.reshape(-1)[: n_max * rows].reshape(n_max, rows).T
+    else:
+        work = _staggered((stage.size,), 1)
+        scaled = _staggered((rows, n_max), 2)
+    for g in range(0, count, rows):
+        part = stage[: min(rows, count - g)]
         for i, steps in enumerate(part):
-            _fill_steps(spec, _trial_rng(seed, lo + g + i), steps)
+            _rekey(rng, seed, lo + g + i)
+            _fill_steps(spec, rng, steps, signs, shared)
         if martingale:
             X[:, g : g + len(part)] = part.swapaxes(0, 1)
         else:
             np.cumsum(part, axis=1, out=part)
-            sups[:, g : g + len(part)] = _scaled_sups(spec, part, divisors)
+            _scaled_sups(_norm_trajectory(spec, part, work), divisors, sups[:, g : g + len(part)], scaled)
     if martingale:
         _martingale_sums(spec.kappa, X)
-        for g in range(0, count, _GROUP):
-            sups[:, g : g + _GROUP] = _scaled_sups(spec, X[:, g : g + _GROUP].swapaxes(0, 1), divisors)
+        for g in range(0, count, rows):
+            part = X[:, g : g + rows].swapaxes(0, 1)
+            _scaled_sups(_norm_trajectory(spec, part), divisors, sups[:, g : g + len(part)], scaled)
     return sups
 
 
-def _scaled_sups(spec: FieldSpec, S: np.ndarray, divisors: np.ndarray) -> np.ndarray:
-    """max over n of ||S(n)|| / divisors[k, n] for a (trials, n, dim) stack -> (len(divisors), trials)."""
-    norms = _norm_trajectory(spec, S)
-    sups = np.empty((len(divisors), len(S)))
-    scaled = np.empty_like(norms)
+def _scaled_sups(norms: np.ndarray, divisors: np.ndarray, out: np.ndarray, scaled: np.ndarray) -> None:
+    """out[k] = max over n of norms / divisors[k] for (trials, n) norms; scaled is scratch with >= trials rows."""
+    scaled = scaled[: len(norms)]
     for k, d in enumerate(divisors):
         np.divide(norms, d, out=scaled)
-        scaled.max(axis=1, out=sups[k])
-    return sups
+        scaled.max(axis=1, out=out[k])
 
 
 def _martingale_sums(kappa: float, X: np.ndarray) -> None:

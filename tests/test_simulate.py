@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from lilbound import (
     simulate_many,
 )
 from lilbound.lil_bounds import TailBoundCurve
-from lilbound.simulate import _fill_signs, _fill_steps, _norm_trajectory, _trial_rng
+from lilbound.simulate import (
+    _BLOCK,
+    _chunk_sups,
+    _fill_signs,
+    _fill_steps,
+    _norm_trajectory,
+    _rekey,
+    _trial_rng,
+)
 
 
 def _scalar_spec(family="rademacher", **kwargs) -> FieldSpec:
@@ -62,9 +71,10 @@ def test_simulate_many_matches_separate_runs():
 def test_trajectory_sups_match_hand_rolled_walk():
     # sup_n ||S_n|| / (sqrt(n) v(n)) recomputed from the same per-trial
     # generator streams, byte for byte, for trial counts on both sides of the
-    # 32-trial groups and the 128-trial chunks, at 1 and 2 threads.  The
-    # scalar Rademacher walk spells its draws and norm out; the other shapes
-    # draw through _fill_steps and norm through _norm_trajectory.
+    # 8-trial blocks, the 32-trial groups and the 128-trial chunks, at 1 and
+    # 2 threads.  The scalar Rademacher walk spells its draws and norm out;
+    # the other shapes draw through _fill_steps and norm through
+    # _norm_trajectory.
     n_max, seed, r, most = 32, 99, 1.0, 300
     ns = np.arange(1, n_max + 1, dtype=float)
     div = np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r
@@ -82,10 +92,78 @@ def test_trajectory_sups_match_hand_rolled_walk():
         cases.append((name, spec, _iid_norms(spec, n_max, most, seed)))
     for name, spec, walks in cases:
         expected = (walks / div).max(axis=1)
-        for trials in (1, 31, 33, 127, 129, most):
+        for trials in (1, 2, 3, 5, 7, 9, 17, 31, 33, 127, 129, most):
             for threads in (1, 2):
                 ens = simulate_many(spec, n_max, trials, seed, rs=(r,), threads=threads)[0]
                 assert ens.sup_values.tobytes() == expected[:trials].tobytes(), (name, trials, threads)
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 7, 10_000, 10_001, (5, 3), (7, 1), (10_000, 2)])
+def test_fill_signs_is_the_integers_stream(shape):
+    # The signs are read from raw Philox words; they must be numpy's own
+    # integers(0, 2) draw, and leave the generator where that draw leaves it
+    # (after an odd count, with the last word's high half buffered).
+    fast, ref = _trial_rng(5, 17), _trial_rng(5, 17)
+    out = np.empty(shape)
+    _fill_signs(fast, out)
+    assert out.tobytes() == (ref.integers(0, 2, size=shape) * 2.0 - 1.0).tobytes()
+    assert fast.random(4).tobytes() == ref.random(4).tobytes()
+    assert np.array_equal(fast.integers(0, 2, size=9), ref.integers(0, 2, size=9))
+
+
+@pytest.mark.parametrize("sizes", [(7, 7), (10_001, 10_001), (3, 4, 5)])
+def test_fill_signs_splits_one_draw_across_its_outputs(sizes):
+    # A martingale trial draws its value signs and shared signs in one call:
+    # the same signs as consecutive integers draws, an odd first count included.
+    fast, ref = _trial_rng(6, 1), _trial_rng(6, 1)
+    outs = [np.empty(m) for m in sizes]
+    _fill_signs(fast, *outs)
+    for out in outs:
+        assert out.tobytes() == (ref.integers(0, 2, size=out.size) * 2.0 - 1.0).tobytes()
+    assert fast.random(2).tobytes() == ref.random(2).tobytes()
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.8, 1.0, 2.5])
+def test_uniform_steps_are_rng_uniform(a):
+    spec = _scalar_spec("uniform", a=a)
+    out = np.empty((1001, 1))
+    _fill_steps(spec, _trial_rng(8, 3), out)
+    assert out.tobytes() == _trial_rng(8, 3).uniform(-a, a, size=out.shape).tobytes()
+
+
+def test_rekeyed_generator_is_the_trial_generator():
+    # One generator per worker is re-keyed for each trial; after a trial that
+    # left a buffered half (7 signs) and advanced the counter, it must draw
+    # what a new generator keyed by (seed, trial) draws, integers included.
+    rng = _trial_rng(9, 0)
+    rng.random(5)
+    _fill_signs(rng, np.empty(7))
+    for trial in (1, 2**40):
+        _rekey(rng, 9, trial)
+        fresh = _trial_rng(9, trial)
+        assert np.array_equal(rng.integers(0, 2, size=5), fresh.integers(0, 2, size=5))
+        assert rng.random(3).tobytes() == fresh.random(3).tobytes()
+        assert rng.standard_normal(3).tobytes() == fresh.standard_normal(3).tobytes()
+
+
+def test_iid_chunk_allocates_a_few_blocks():
+    # The iid pass reuses one block's stage, norm work array and scaled array
+    # for the whole chunk, so its peak is a few blocks' worth of n * dim
+    # doubles, whatever the chunk's trial count (a 32-trial stage alone was
+    # 2.56 MB, and its norm's temporaries as much again each).
+    n_max = 10_000
+    ns = np.arange(1, n_max + 1, dtype=float)
+    divisors = np.stack([np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r for r in (0.5, 1.0)])
+    spec = _scalar_spec()
+    _chunk_sups(spec, 3, 0, 128, n_max, divisors)
+    tracemalloc.start()
+    try:
+        sups = _chunk_sups(spec, 3, 0, 128, n_max, divisors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sups.shape == (2, 128)
+    assert peak <= 4 * _BLOCK * n_max * spec.draw_dim * 8
 
 
 def test_one_point_factor_norms_match_hand_rolled_walk():
@@ -174,7 +252,7 @@ def _martingale_by_hand(spec, n_max, trials, seed, rs):
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         _fill_steps(values, rng, y[trial])
-        _fill_signs(rng, s[trial])
+        s[trial] = rng.integers(0, 2, size=n_max) * 2.0 - 1.0
     xi = np.empty_like(y)
     S = np.empty_like(y)
     past_mean = np.empty((trials, n_max))
@@ -229,21 +307,25 @@ _MARTINGALE_SPECS = {
         beta=0.8,
         dependence="martingale",
     ),
+    "weibull-dim1": _scalar_spec("weibull", beta=1.5, dependence="martingale", kappa=0.6),
 }
 
 
 @pytest.mark.parametrize("name", list(_MARTINGALE_SPECS))
 def test_martingale_sups_are_the_hand_written_recurrence_byte_for_byte(name):
     # Pins every byte of the martingale pass, whatever its chunking: the
-    # trial counts cross chunk boundaries and leave a one-trial chunk.
+    # trial counts cross chunk boundaries and leave a one-trial chunk.  At
+    # n = 15 a dim-1 rademacher or weibull trial draws an odd number of value
+    # signs before its shared signs, in the same sign draw.
     spec = _MARTINGALE_SPECS[name]
-    n_max, seed, rs = 14, 31, (0.5, 1.0)
-    for trials in (7, 129, 130, 300):
-        expected, _, _ = _martingale_by_hand(spec, n_max, trials, seed, rs)
-        for threads in (1, 2):
-            ens = simulate_many(spec, n_max, trials, seed, rs=rs, threads=threads)
-            for k, e in enumerate(ens):
-                assert e.sup_values.tobytes() == expected[k].tobytes(), (trials, threads, e.norming_r)
+    seed, rs = 31, (0.5, 1.0)
+    for n_max in (14, 15):
+        for trials in (7, 129, 130, 300):
+            expected, _, _ = _martingale_by_hand(spec, n_max, trials, seed, rs)
+            for threads in (1, 2):
+                ens = simulate_many(spec, n_max, trials, seed, rs=rs, threads=threads)
+                for k, e in enumerate(ens):
+                    assert e.sup_values.tobytes() == expected[k].tobytes(), (n_max, trials, threads, e.norming_r)
 
 
 def test_martingale_steps_are_conditionally_centered():
