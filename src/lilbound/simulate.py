@@ -10,17 +10,19 @@ Reproducibility contract: each trial owns a counter-based substream keyed by
 bit-identical for any worker count and any chunking of the trial range.
 
 Trials of either dependence run in chunks of _CHUNK.  Each chunk keeps one
-Philox generator and re-keys it to each trial's substream.  iid trials run
-_BLOCK at a time through draw -> cumsum -> norm -> divide-and-max, in place
-in one small stage, its norm's work array and one scaled array, all
-allocated once per chunk, so a block is finished while it is in cache.
-Martingale trials are drawn _GROUP at a time into a stage and copied
-step-major into one (n, trials, dim) buffer, and once the chunk is drawn one
-Python loop over n turns that buffer into the partial sums of all of its
-trials.  Every value is computed as in the one-trial recurrence, so the
-draws and the output bytes are those of stepping each trial on its own.
-Signs are read from raw Philox words, as the bits numpy's integers(0, 2)
-takes from them (_fill_signs).
+Philox generator and re-keys it to each trial's substream, and draws its
+trials _BLOCK at a time into one small trial-major stage.  iid blocks go
+draw -> cumsum -> norm -> divide-and-max in place in that stage, its norm's
+work array and one scaled array, all allocated once per chunk, so a block is
+finished while it is in cache.  Martingale blocks are copied into one
+(n, dim, trials) state, in which each step is dim contiguous rows of the
+chunk's trials; once the chunk is drawn, one Python loop over n turns the
+state into the partial sums of all of its trials, the norms are reduced in
+the state itself, and divide-and-max runs over fixed blocks of steps.  Every
+value is computed as in the one-trial recurrence, so the draws and the
+output bytes are those of stepping each trial on its own.  Signs are read
+from raw Philox words, as the bits numpy's integers(0, 2) takes from them
+(_fill_signs).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 # package records its own run stats (ROADMAP direction 4)
 from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
-from .grid_spaces import _exponents, _iterated_norm, _json_number, _staggered
+from .grid_spaces import _exponents, _iterated_norm, _json_number, _lq_norm, _staggered
 from .lil_bounds import TailBoundCurve, _check_u_grid
 from .partitions import E_E, NormingSequence
 
@@ -57,12 +59,13 @@ __all__ = [
 
 _FAMILIES = ("rademacher", "uniform", "gaussian", "weibull")
 _CHUNK = 128
-_GROUP = 32  # martingale trials drawn per stage
 # iid trials per block: 8 trials to n = 10^4 are 0.64 MB per dimension.  At one
 # worker, blocks of 1 and 8 trials ran equally fast; at two, rademacher-lp ran at
 # ~40M trial-steps/s with 1-trial blocks against 65-73M with 8, the difference
 # being GIL hand-offs between the workers' short numpy calls (BENCH_21.json).
 _BLOCK = 8
+# steps per block of the martingale divide-and-max: 256 steps of 128 trials are 256 KiB
+_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -255,21 +258,19 @@ def _fill_signs(rng: np.random.Generator, *outs: np.ndarray) -> None:
 
     integers(0, 2) maps each 32-bit half of a raw 64-bit word, low half
     first, to its top bit (Lemire's multiply-shift by 2), so the m signs
-    are bits 31 and 63 of the next ceil(m/2) raw words, read here by shifts.
-    An odd m leaves the last word's high half buffered, as integers does.
-    rng must hold no buffered half on entry, which holds after any draw but
-    an integer one; so a trial draws all of its signs in one call.
+    are the top bits of the halves of the next ceil(m/2) raw words, read
+    here as the words' little-endian 32-bit halves shifted by 31 (a view on
+    a little-endian host).  An odd m leaves the last word's high half
+    buffered, as integers does.  rng must hold no buffered half on entry,
+    which holds after any draw but an integer one; so a trial draws all of
+    its signs in one call.
     """
     m = sum(out.size for out in outs)
     raw = rng.bit_generator.random_raw((m + 1) // 2)
-    bits = np.empty((raw.size, 2), dtype=np.uint64)
-    np.right_shift(raw, 31, out=bits[:, 0])
-    bits[:, 0] &= 1
-    np.right_shift(raw, 63, out=bits[:, 1])
-    flat = bits.reshape(-1)
+    bits = raw.astype("<u8", copy=False).view("<u4") >> 31
     start = 0
     for out in outs:
-        np.multiply(flat[start : start + out.size].reshape(out.shape), 2.0, out=out)
+        np.multiply(bits[start : start + out.size].reshape(out.shape), 2.0, out=out)
         out -= 1.0
         start += out.size
     if m % 2:
@@ -342,29 +343,29 @@ def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, diviso
     """Sups of trials lo..hi-1 -> (len(divisors), hi - lo).
 
     One generator is re-keyed to each trial's substream (_rekey), at about
-    a third of the cost of a new one.  iid trials run _BLOCK at a time: draw,
-    cumsum and norm in place in the stage (the norm alternating with one
-    work array), then divide-and-max through one scaled array.  Martingale
-    trials are drawn _GROUP at a time, copied step-major into X, summed by
-    _martingale_sums once the chunk is drawn, and normed a group at a time,
-    with the scaled array in the stage, which is free by then.  Every buffer
-    is allocated once per call; the stage, work and scaled arrays start at
-    staggered page offsets so that the streams of one operation do not
-    alias.  The stage is trial-major because the Gaussian and Weibull fills
-    write with out=, which needs contiguous rows.
+    a third of the cost of a new one, and trials are drawn _BLOCK at a time
+    into the stage.  An iid block is then summed and normed in place in the
+    stage (the norm alternating with one work array), then divided and
+    maxed through one scaled array.  A martingale block is copied, with one
+    transposing copy, into the chunk's (n, dim, trials) state X; once every
+    block is in, _martingale_sums turns X into partial sums, _state_norms
+    reduces it to its norms in place and _step_sups divides and maxes them
+    a block of steps at a time.  Every buffer is allocated once per call;
+    the stage, work and scaled arrays start at staggered page offsets so
+    that the streams of one operation do not alias.  The stage is
+    trial-major because the Gaussian and Weibull fills write with out=,
+    which needs contiguous rows.
     """
     count = hi - lo
     martingale = spec.dependence == "martingale"
-    rows = min(_GROUP if martingale else _BLOCK, count)
+    rows = min(_BLOCK, count)
     stage = _staggered((rows, n_max, spec.draw_dim), 0)
     signs = np.empty((n_max, spec.draw_dim)) if spec.family == "weibull" else None
     shared = np.empty(n_max) if martingale else None
     sups = np.empty((len(divisors), count))
     rng = _trial_rng(seed, lo)
     if martingale:
-        X = np.empty((n_max, count, spec.draw_dim))
-        # step-major, as the norms of X are
-        scaled = stage.reshape(-1)[: n_max * rows].reshape(n_max, rows).T
+        X = np.empty((n_max, spec.draw_dim, count))
     else:
         work = _staggered((stage.size,), 1)
         scaled = _staggered((rows, n_max), 2)
@@ -374,15 +375,13 @@ def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, diviso
             _rekey(rng, seed, lo + g + i)
             _fill_steps(spec, rng, steps, signs, shared)
         if martingale:
-            X[:, g : g + len(part)] = part.swapaxes(0, 1)
+            X[:, :, g : g + len(part)] = part.transpose(1, 2, 0)
         else:
             np.cumsum(part, axis=1, out=part)
             _scaled_sups(_norm_trajectory(spec, part, work), divisors, sups[:, g : g + len(part)], scaled)
     if martingale:
         _martingale_sums(spec.kappa, X)
-        for g in range(0, count, rows):
-            part = X[:, g : g + rows].swapaxes(0, 1)
-            _scaled_sups(_norm_trajectory(spec, part), divisors, sups[:, g : g + len(part)], scaled)
+        _step_sups(_state_norms(spec, X), divisors, sups)
     return sups
 
 
@@ -394,30 +393,112 @@ def _scaled_sups(norms: np.ndarray, divisors: np.ndarray, out: np.ndarray, scale
         scaled.max(axis=1, out=out[k])
 
 
-def _martingale_sums(kappa: float, X: np.ndarray) -> None:
-    """Turn the step-major steps s |y| in X (n, trials, dim) into partial sums, in place.
+def _step_sups(norms: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = max over n of norms / divisors[k] for (n, trials) norms, _STEPS steps at a time.
 
-    One loop over n steps all of the trials at once.  Each step does what the
+    Each block of steps is divided into one small scratch array and maxed
+    into a row; max is exact, so the blocks give the bytes of one max over n.
+    """
+    n_max, count = norms.shape
+    scaled = np.empty((min(_STEPS, n_max), count))
+    peak = np.empty(count)
+    for a in range(0, n_max, len(scaled)):
+        block = norms[a : a + len(scaled)]
+        part = scaled[: len(block)]
+        for k, d in enumerate(divisors):
+            np.divide(block, d[a : a + len(block), None], part)
+            if a == 0:
+                part.max(axis=0, out=out[k])
+            else:
+                np.maximum(out[k], part.max(axis=0, out=peak), out=out[k])
+
+
+def _state_norms(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
+    """||S(n)|| of each step and trial of an (n, dim, trials) state, reduced in X -> an (n, trials) view of X.
+
+    The state is viewed with its factor axes in front of the trial axis,
+    factor 0 (the innermost) last of them, as _norm_trajectory views a row.
+    |X| is taken in place, and _lq_norm reduces each factor axis into that
+    axis's first slice, in index order, so each norm gets the operations of
+    _norm_trajectory in the same order and no array of X's size is
+    allocated.  A cl norm's slots are then maxed into its first slot.
+    """
+    n_max, _, count = X.shape
+    cl = spec.norm_kind == "cl"
+    sizes = [sp.size for sp in spec.spaces] + ([spec.t_size] if cl else [])
+    x = X.reshape(n_max, *reversed(sizes), count)
+    np.abs(x, out=x)
+    for sp, q in zip(spec.spaces, _exponents(spec.p)):
+        x = _lq_norm(np.moveaxis(x, -2, -1), sp.weights, q, x[..., 0, :])
+    if cl:
+        first = x[:, 0]
+        for slot in range(1, spec.t_size):
+            np.maximum(first, x[:, slot], out=first)
+        x = first
+    return x
+
+
+def _row_sums(rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out[t] = np.add.reduce(rows[:, t]) as numpy sums a contiguous row, for an (m, trials) stack of rows.
+
+    numpy sums a row pairwise (pairwise_sum in its loop utilities): fewer
+    than 8 entries left to right; up to 128 into 8 running sums, entry i
+    into sum i % 8, which it adds as a tree before adding the rest in turn;
+    a longer row as the sum of its two sides, split at the multiple of 8
+    nearest below half.  Here each entry is a row of trials, so every trial
+    gets its row's bytes, up to the sign of a zero sum.  work is scratch
+    of at least 13 + m.bit_length() rows.
+    """
+    m = len(rows)
+    if m < 8:
+        return np.add.reduce(rows, 0, None, out)  # left to right over the leading axis
+    if m <= 128:
+        full = m - m % 8
+        acc = rows[:8]
+        if full > 8:
+            acc = np.add(acc, rows[8:16], work[:8])
+            for i in range(16, full, 8):
+                acc += rows[i : i + 8]
+        pairs = np.add(acc[0::2], acc[1::2], work[8:12])
+        quads = np.add(pairs[0::2], pairs[1::2], work[12:14])
+        np.add(quads[0], quads[1], out)
+        for row in rows[full:]:
+            out += row
+        return out
+    half = m // 2 - m // 2 % 8
+    _row_sums(rows[:half], out, work)
+    out += _row_sums(rows[half:], work[0], work[1:])
+    return out
+
+
+def _martingale_sums(kappa: float, X: np.ndarray) -> None:
+    """Turn the steps s |y| in the state X (n, dim, trials) into partial sums, in place.
+
+    One loop over n steps all of the trials at once; each step is dim
+    contiguous rows of the trials, so the multiplier is broadcast over rows
+    and the mean of S(j-1) is a sum across rows (_row_sums, the sum np.mean
+    takes along a trial's row) then a true divide.  Each step does what the
     one-trial recurrence mult = 1 + kappa tanh(mean S(j-1)),
     S(j) = S(j-1) + s |y| mult does, with the same operations in the same
     order, so the sums do not depend on how the trials are chunked.
     """
-    n_max, count, dim = X.shape
-    prev = np.zeros((count, dim))
-    mult = np.empty(count)
-    mult_col = mult[:, None]
-    for j in range(n_max):
+    n_max, dim, count = X.shape
+    kappa, one, size = np.float64(kappa), np.float64(1.0), np.float64(dim)
+    mult = np.empty((1, count))  # 2-D like a step: a 1-D multiplier broadcast ~20% slower at dim 1
+    mean = mult[0]
+    work = np.empty((13 + dim.bit_length(), count))
+    prev = np.zeros((dim, count))
+    for cur in X:
         if dim == 1:
-            np.tanh(prev[:, 0], out=mult)
+            np.tanh(prev, mult)
         else:
-            np.add.reduce(prev, axis=1, out=mult)  # np.mean is this sum, then a true divide
-            mult /= dim
-            np.tanh(mult, out=mult)
-        mult *= kappa
-        mult += 1.0
-        cur = X[j]
-        cur *= mult_col
-        cur += prev
+            _row_sums(prev, mean, work)
+            np.divide(mult, size, mult)
+            np.tanh(mult, mult)
+        np.multiply(mult, kappa, mult)
+        np.add(mult, one, mult)
+        np.multiply(cur, mult, cur)
+        np.add(cur, prev, cur)
         prev = cur
 
 

@@ -32,6 +32,7 @@ from lilbound.simulate import (
     _fill_steps,
     _norm_trajectory,
     _rekey,
+    _row_sums,
     _trial_rng,
 )
 
@@ -308,6 +309,27 @@ _MARTINGALE_SPECS = {
         dependence="martingale",
     ),
     "weibull-dim1": _scalar_spec("weibull", beta=1.5, dependence="martingale", kappa=0.6),
+    # a trial's mean sums its row pairwise from 8 entries on, and splits rows
+    # of more than 128 entries in two: the sums across the state's rows must
+    # take the same order on both sides of both boundaries
+    **{
+        f"lp-dim{dim}": FieldSpec(
+            family="uniform",
+            spaces=(GridMeasureSpace(np.linspace(0.1, 1.2, dim)),),
+            p=3.5,
+            a=2.0,
+            dependence="martingale",
+            kappa=0.95,
+        )
+        for dim in (8, 9, 16, 130)
+    },
+    "rademacher-mixed-dim2": FieldSpec(
+        family="rademacher",
+        spaces=(GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6]))),
+        norm_kind="mixed",
+        p=(2.0, 3.0),
+        dependence="martingale",
+    ),
 }
 
 
@@ -326,6 +348,44 @@ def test_martingale_sups_are_the_hand_written_recurrence_byte_for_byte(name):
                 ens = simulate_many(spec, n_max, trials, seed, rs=rs, threads=threads)
                 for k, e in enumerate(ens):
                     assert e.sup_values.tobytes() == expected[k].tobytes(), (n_max, trials, threads, e.norming_r)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 128])
+def test_row_sums_are_numpys_row_reduce(trials):
+    # A martingale trial's mean reads the sum np.add.reduce takes along its
+    # contiguous row of dim entries; the state holds those entries as dim
+    # rows of trials, and _row_sums must add them in numpy's order, on both
+    # sides of its 8-entry and 128-entry boundaries.
+    rng = np.random.default_rng(20261020)
+    for dim in range(1, 301):
+        S = rng.standard_normal((trials, dim)) * 10.0 ** rng.integers(-6, 7, size=(trials, dim))
+        out = np.empty(trials)
+        work = np.empty((13 + dim.bit_length(), trials))
+        _row_sums(np.ascontiguousarray(S.T), out, work)
+        assert out.tobytes() == np.add.reduce(S, axis=1).tobytes(), dim
+
+
+@pytest.mark.parametrize("name", ["lp-dim1", "mixed-dim2"])
+def test_martingale_chunk_allocates_its_state_and_a_few_blocks(name):
+    # A martingale chunk holds one (n, dim, trials) state; the trials are
+    # drawn through the iid pass's block stage, and the norms and their
+    # divide-and-max run in the state and a few small arrays (copying each
+    # 32 trials of the state out to norm them took as much as the state's
+    # size again).
+    n_max, trials = 10_000, 128
+    spec = _MARTINGALE_SPECS[name]
+    ns = np.arange(1, n_max + 1, dtype=float)
+    divisors = np.stack([np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r for r in (0.5, 1.0)])
+    _chunk_sups(spec, 3, 0, trials, n_max, divisors)
+    tracemalloc.start()
+    try:
+        sups = _chunk_sups(spec, 3, 0, trials, n_max, divisors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sups.shape == (2, trials)
+    state = n_max * spec.draw_dim * trials * 8
+    assert peak <= state + 10 * _BLOCK * n_max * spec.draw_dim * 8
 
 
 def test_martingale_steps_are_conditionally_centered():
