@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from lilbound import (
@@ -294,6 +297,89 @@ def test_chained_envelope_bytes_are_pinned():
             env = nu_envelope(_theta_field(seed, 16, 64), 2.0, np.geomspace(1.0, 200.0, 32))
         got[seed] = hashlib.sha256(env.g_values.astype("<f8").tobytes()).hexdigest()
     assert got == _PINNED_CHAINED_G_SHA256
+
+
+def _square_form_g(field, p, Z_grid):
+    # nu_envelope's g rebuilt through the full-square reference, as in
+    # test_nu_envelope_is_the_square_form_byte_for_byte, at any p
+    g = np.empty(Z_grid.size)
+    for i, Z in enumerate(Z_grid):
+        sig = sigma_hat(field, p, Z)
+        thetas = np.asarray(DEFAULT_THETA_GRID, dtype=float)
+        if sig >= 1.0:
+            thetas = thetas / sig
+        r = _square_distance_r_matrix(field, p, Z)
+        cov = EmpiricalCovering.from_distance_matrix(r / sig if sig > 0.0 else r)
+        g[i] = nu_p(sig, p, Z, covering=cov, theta_grid=thetas)
+    return g
+
+
+@st.composite
+def _pruning_cases(draw):
+    """A random field with |Omega| in 2..16, p in {2, 3, 5}, and a Z grid of step ratio 1.05..4."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    nx, nt, n_omega = draw(st.integers(1, 6)), draw(st.integers(2, 12)), draw(st.integers(2, 16))
+    p = draw(st.sampled_from([2.0, 3.0, 5.0]))
+    ratio, Z0 = draw(st.floats(1.05, 4.0)), draw(st.floats(1.0, 20.0))
+    Z_grid = Z0 * ratio ** np.arange(draw(st.integers(2, 5)))
+    return _field(np.random.default_rng(seed), nx, nt, n_omega), p, Z_grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pruning_cases())
+def test_pruned_pair_minimum_is_the_all_pairs_minimum_byte_for_byte(case):
+    # Skipping pairs that provably lose the minimum must leave every byte of
+    # g and of the distance matrix.  Floors at each pair's own order force a
+    # branch: zero roots prove nothing, so every pair is computed; the exact
+    # roots skip every pair that loses by more than the margin.
+    field, p, Z_grid = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        g = nu_envelope(field, p, Z_grid).g_values
+        assert g.tobytes() == _square_form_g(field, p, Z_grid).tobytes()
+    shape = field._diff_root(1.0).shape
+    for Z in (Z_grid[0], Z_grid[-1]):
+        ref = _square_distance_r_matrix(field, p, Z).tobytes()
+        assert distance_r_matrix(field, p, Z).tobytes() == ref
+        weak = [(a * Z, np.zeros(shape)) for a in DEFAULT_ALPHAS]
+        assert entropy_ct._distance_r_matrix(field, p, Z, weak).tobytes() == ref
+        assert len(weak) == 2 * len(DEFAULT_ALPHAS)  # every pair computed
+        exact = [(a * Z, field._diff_root(a * Z)) for a in DEFAULT_ALPHAS]
+        assert entropy_ct._distance_r_matrix(field, p, Z, exact).tobytes() == ref
+        event(f"pairs computed with exact floors: {len(exact) - len(DEFAULT_ALPHAS)}")
+
+
+def test_nu_envelope_skips_pairs_that_lose_the_minimum(monkeypatch):
+    # The bound_sweep theta field: the all-pairs minimum takes 5 roots per Z,
+    # 160 in all.  Earlier roots prove that most pairs lose.
+    field = _theta_field(7331, 16, 64)
+    orders, root = [], field._diff_root
+
+    def counted(v):
+        orders.append(v)
+        return root(v)
+
+    monkeypatch.setitem(field.__dict__, "_diff_root", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        nu_envelope(field, 2.0, np.geomspace(1.0, 200.0, 32))
+    assert 32 <= len(orders) <= 40
+
+
+def test_nu_envelope_keeps_a_few_floors():
+    # Each root is 258 KB on this field; nu_envelope keeps at most three of
+    # earlier Z as floors, and a warm call peaks at about 1.1 MB.
+    field, Z_grid = _theta_field(7331, 16, 64), np.geomspace(1.0, 200.0, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        nu_envelope(field, 2.0, Z_grid)  # builds the field's cached roots
+        tracemalloc.start()
+        try:
+            nu_envelope(field, 2.0, Z_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 @pytest.mark.parametrize("s_above_one", [False, True], ids=["s<1", "s>1"])

@@ -72,10 +72,9 @@ def test_simulate_many_matches_separate_runs():
 def test_trajectory_sups_match_hand_rolled_walk():
     # sup_n ||S_n|| / (sqrt(n) v(n)) recomputed from the same per-trial
     # generator streams, byte for byte, for trial counts on both sides of the
-    # 8-trial blocks, the 32-trial groups and the 128-trial chunks, at 1 and
-    # 2 threads.  The scalar Rademacher walk spells its draws and norm out;
-    # the other shapes draw through _fill_steps and norm through
-    # _norm_trajectory.
+    # 8-trial blocks and the 128-trial chunks, at 1 and 2 threads.  The
+    # scalar Rademacher walk spells its draws and norm out; the other shapes
+    # draw through _fill_steps and norm through _norm_trajectory.
     n_max, seed, r, most = 32, 99, 1.0, 300
     ns = np.arange(1, n_max + 1, dtype=float)
     div = np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r
