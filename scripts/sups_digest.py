@@ -7,12 +7,16 @@ Run from the root of a checkout:
 
 The specs are the five Monte Carlo cells of perfbench (iid rademacher-lp,
 uniform-mixed and weibull-lp; martingale rademacher-lp and uniform-mixed)
-and six more: uniform a = 0.3 and 0.8, a two-point gaussian, a weibull cl
-norm, and scalar martingale weibull and rademacher cells.  Each runs 300
-trials (three chunks) at r = 1/2 and 1, to n = 10^4, or to 9,999 for the
-last two, whose trials draw an odd number of value signs before their
-shared signs.  One digest is printed per thread count, 1 and 2; a change
-that keeps every simulated byte prints the same two digests as its parent.
+and eight more: uniform a = 0.3 and 0.8, a two-point gaussian, a weibull cl
+norm, scalar martingale weibull and rademacher cells, and uniform lp
+martingale cells at dims 8 and 130, where a trial's mean sums its row
+pairwise (and, at 130, splits it in two).  Each runs 300 trials (three
+chunks) at r = 1/2 and 1, to n = 10^4; to 9,999 for the two scalar "-odd"
+cells, whose trials draw an odd number of value signs before their shared
+signs; and to 10^3 for the wide cells, whose (n, dim, 128) chunk state is
+then 8 and 133 MB.  One digest is printed per thread count, 1 and 2; a
+change that keeps every simulated byte prints the same two digests as its
+parent.
 """
 
 import hashlib
@@ -21,7 +25,7 @@ import numpy as np
 
 from lilbound import FieldSpec, GridMeasureSpace, simulate_many
 
-N_MAX, TRIALS, RS = 10_000, 300, (0.5, 1.0)
+N_MAX, WIDE_N_MAX, TRIALS, RS = 10_000, 1_000, 300, (0.5, 1.0)
 _SCALAR = (GridMeasureSpace(np.array([1.0])),)
 _TWO = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.4, 0.6])))
 
@@ -44,6 +48,12 @@ def specs() -> dict:
         ),
         "weibull-lp-martingale-odd": FieldSpec("weibull", _SCALAR, beta=0.8, dependence="martingale"),
         "rademacher-lp-martingale-odd": FieldSpec("rademacher", _SCALAR, dependence="martingale"),
+        **{
+            f"uniform-lp-martingale-wide{dim}": FieldSpec(
+                "uniform", (GridMeasureSpace(np.linspace(0.1, 1.2, dim)),), p=3.0, a=2.0, dependence="martingale"
+            )
+            for dim in (8, 130)
+        },
     }
 
 
@@ -51,7 +61,7 @@ def main() -> None:
     for threads in (1, 2):
         digest = hashlib.sha256()
         for seed, (name, spec) in enumerate(specs().items()):
-            n_max = N_MAX - 1 if name.endswith("-odd") else N_MAX
+            n_max = N_MAX - 1 if name.endswith("-odd") else WIDE_N_MAX if "-wide" in name else N_MAX
             for ens in simulate_many(spec, n_max, TRIALS, 1000 + seed, rs=RS, threads=threads):
                 digest.update(ens.sup_values.tobytes())
         print(f"threads={threads} sha256={digest.hexdigest()}")

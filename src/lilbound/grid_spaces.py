@@ -135,27 +135,17 @@ def _lq_norm(x: np.ndarray, w: np.ndarray, q: float, out: Optional[np.ndarray] =
     return total
 
 
-def _iterated_norm(x: np.ndarray, weights, exps, work: Optional[np.ndarray] = None) -> np.ndarray:
+def _iterated_norm(x: np.ndarray, weights, exps) -> np.ndarray:
     """Iterated norm of |x| over its trailing axes, unchecked.
 
     Factor k (weights[k], exps[k]) sits on axis -1-k, so factor 0, the
     innermost, is the last axis and is reduced first; leading axes are kept.
-    Without work, |x| is taken into a fresh array, which the reductions
-    overwrite, and each reduction allocates its output.  With work, a flat
-    array of at least x.size entries, nothing is allocated: x (C-contiguous)
-    is overwritten with |x|, and each reduction writes into the other of x
-    and work, so the result is a view of one of them.
+    |x| is taken into a fresh array, which the reductions overwrite, and
+    each reduction allocates its output.
     """
-    if work is None:
-        x = np.abs(x)
-        for w, q in zip(weights, exps):
-            x = _lq_norm(x, w, q)
-        return x
-    np.abs(x, out=x)
+    x = np.abs(x)
     for w, q in zip(weights, exps):
-        out = work[: x.size // w.size].reshape(x.shape[:-1])
-        work = x.reshape(-1)
-        x = _lq_norm(x, w, q, out)
+        x = _lq_norm(x, w, q)
     return x
 
 
@@ -184,11 +174,11 @@ def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
     term of each sum is then exactly its weight, so no order v underflows it
     and none overflows.  log(|a|/m) is taken once, outcome axis first, so
     each v costs one multiply and one exp per entry (log 0 = -inf, whose
-    exp is 0); the weighted sum then runs in index order, accumulated in the
-    work array (_weighted_sum would allocate its total), and the outer root
-    is a power, as in _lq_norm.  The work arrays are allocated once, on
-    distinct page offsets (_staggered), and each call returns a fresh
-    array.  A root is not re-entrant: two threads must not call one root.
+    exp is 0); _weighted_sum then adds the outcomes in index order into the
+    work array's first row, and the outer root is a power, as in _lq_norm.
+    The work arrays are allocated once, on distinct page offsets
+    (_staggered), and each call returns a fresh array.  A root is not
+    re-entrant: two threads must not call one root.
     """
     a = np.abs(a)
     m = a.max(axis=-1)
@@ -199,16 +189,12 @@ def _moment_root(a: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
     with np.errstate(divide="ignore"):
         np.log(log_ratio, out=log_ratio)
     work = _staggered(log_ratio.shape, 1)
+    terms, first = np.moveaxis(work, 0, -1), work[0]  # views made once, not per order
 
     def root(v: float) -> np.ndarray:
         np.multiply(log_ratio, v, out=work)
         np.exp(work, out=work)
-        total = work[0]
-        total *= w[0]
-        for i in range(1, w.size):
-            column = work[i]
-            column *= w[i]
-            total += column
+        total = _weighted_sum(terms, w, first)
         total **= 1.0 / v
         return m * total
 

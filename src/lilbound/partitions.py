@@ -74,8 +74,8 @@ class NormingSequence:
     r: float
 
     def __post_init__(self):
-        if self.r < 0.5:
-            raise ValueError("iterated-log norming requires r >= 1/2")
+        if not 0.5 <= self.r < math.inf:
+            raise ValueError(f"iterated-log norming power r must be finite and >= 1/2, got {self.r!r}")
 
     @classmethod
     def iterated_log(cls, r: float) -> "NormingSequence":

@@ -11,18 +11,16 @@ bit-identical for any worker count and any chunking of the trial range.
 
 Trials of either dependence run in chunks of _CHUNK.  Each chunk keeps one
 Philox generator and re-keys it to each trial's substream, and draws its
-trials _BLOCK at a time into one small trial-major stage.  iid blocks go
-draw -> cumsum -> norm -> divide-and-max in place in that stage, its norm's
-work array and one scaled array, all allocated once per chunk, so a block is
-finished while it is in cache.  Martingale blocks are copied into one
-(n, dim, trials) state, in which each step is dim contiguous rows of the
-chunk's trials; once the chunk is drawn, one Python loop over n turns the
-state into the partial sums of all of its trials, the norms are reduced in
-the state itself, and divide-and-max runs over fixed blocks of steps.  Every
-value is computed as in the one-trial recurrence, so the draws and the
-output bytes are those of stepping each trial on its own.  Signs are read
-from raw Philox words, as the bits numpy's integers(0, 2) takes from them
-(_fill_signs).
+trials _BLOCK at a time into one small trial-major stage.  Both passes norm
+in one layout, whose last axis is a contiguous run, through one in-place
+reduction (_state_norms): an iid block is summed into (trials, dim, n), and
+normed, divided and maxed while it is in cache; a martingale chunk is
+copied into one (n, dim, trials) state, each step dim contiguous rows of
+the chunk's trials, which one Python loop over n turns into partial sums.
+Every value is computed as in the one-trial recurrence, so the draws and
+the output bytes are those of stepping each trial on its own.  Signs are
+read from raw Philox words, as the bits numpy's integers(0, 2) takes from
+them (_fill_signs).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 # package records its own run stats (ROADMAP direction 4)
 from .constants import rosenthal_upper  # noqa: F401
 from .grid_spaces import GridMeasureSpace, mixed_norm  # noqa: F401
-from .grid_spaces import _exponents, _iterated_norm, _json_number, _lq_norm, _staggered
+from .grid_spaces import _exponents, _json_number, _lq_norm, _staggered
 from .lil_bounds import TailBoundCurve, _check_u_grid
 from .partitions import E_E, NormingSequence
 
@@ -325,34 +323,23 @@ def _fill_steps(
         out *= shared[:, None]
 
 
-def _norm_trajectory(spec: FieldSpec, S: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """||S(n)|| for a (trials, n, dim) stack of partial sums -> (trials, n).
-
-    With work (a flat array of S.size entries), S is overwritten and nothing
-    of its size is allocated (_iterated_norm); the cl norm's max over the
-    slots still allocates its (trials, n) result.
-    """
-    if spec.norm_kind == "cl":
-        shaped = S.reshape(S.shape[0], S.shape[1], spec.t_size, spec.spaces[0].size)
-        return _iterated_norm(shaped, [spec.spaces[0].weights], _exponents(spec.p), work).max(axis=2)
-    shaped = S.reshape(S.shape[0], S.shape[1], *reversed([sp.size for sp in spec.spaces]))
-    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], _exponents(spec.p), work)
-
-
 def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, divisors: np.ndarray) -> np.ndarray:
     """Sups of trials lo..hi-1 -> (len(divisors), hi - lo).
 
     One generator is re-keyed to each trial's substream (_rekey), at about
     a third of the cost of a new one, and trials are drawn _BLOCK at a time
-    into the stage.  An iid block is then summed and normed in place in the
-    stage (the norm alternating with one work array), then divided and
-    maxed through one scaled array.  A martingale block is copied, with one
-    transposing copy, into the chunk's (n, dim, trials) state X; once every
-    block is in, _martingale_sums turns X into partial sums, _state_norms
-    reduces it to its norms in place and _step_sups divides and maxes them
-    a block of steps at a time.  Every buffer is allocated once per call;
-    the stage, work and scaled arrays start at staggered page offsets so
-    that the streams of one operation do not alias.  The stage is
+    into the stage.  An iid block's cumsum writes, through a transposed
+    out=, into the (trials, dim, n) sums array, where _state_norms reduces
+    it to its norms in place; they are then divided and maxed through one
+    scaled array.  A martingale block is copied, with one transposing copy,
+    into the chunk's (n, dim, trials) state X; once every block is in,
+    _martingale_sums turns X into partial sums, _state_norms reduces it to
+    its norms in place and _step_sups divides and maxes them a block of
+    steps at a time.  Either way the norm's reductions run along contiguous
+    runs, which numpy's SIMD loops need (reducing the trial-major stage in
+    place writes with a stride of dim).  Every buffer is allocated once per
+    call; the stage, sums and scaled arrays start at staggered page offsets
+    so that the streams of one operation do not alias.  The stage is
     trial-major because the Gaussian and Weibull fills write with out=,
     which needs contiguous rows.
     """
@@ -367,7 +354,7 @@ def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, diviso
     if martingale:
         X = np.empty((n_max, spec.draw_dim, count))
     else:
-        work = _staggered((stage.size,), 1)
+        sums = _staggered((rows, spec.draw_dim, n_max), 1)
         scaled = _staggered((rows, n_max), 2)
     for g in range(0, count, rows):
         part = stage[: min(rows, count - g)]
@@ -377,8 +364,9 @@ def _chunk_sups(spec: FieldSpec, seed: int, lo: int, hi: int, n_max: int, diviso
         if martingale:
             X[:, :, g : g + len(part)] = part.transpose(1, 2, 0)
         else:
-            np.cumsum(part, axis=1, out=part)
-            _scaled_sups(_norm_trajectory(spec, part, work), divisors, sups[:, g : g + len(part)], scaled)
+            block = sums[: len(part)]
+            np.cumsum(part, axis=1, out=block.transpose(0, 2, 1))
+            _scaled_sups(_state_norms(spec, block), divisors, sups[:, g : g + len(part)], scaled)
     if martingale:
         _martingale_sums(spec.kappa, X)
         _step_sups(_state_norms(spec, X), divisors, sups)
@@ -414,85 +402,58 @@ def _step_sups(norms: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> None
 
 
 def _state_norms(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
-    """||S(n)|| of each step and trial of an (n, dim, trials) state, reduced in X -> an (n, trials) view of X.
+    """||S|| of each (..., dim, m) run of X, reduced in X -> a (..., m) view of X.
 
-    The state is viewed with its factor axes in front of the trial axis,
-    factor 0 (the innermost) last of them, as _norm_trajectory views a row.
-    |X| is taken in place, and _lq_norm reduces each factor axis into that
-    axis's first slice, in index order, so each norm gets the operations of
-    _norm_trajectory in the same order and no array of X's size is
-    allocated.  A cl norm's slots are then maxed into its first slot.
+    The last axis is a contiguous run of m values per grid entry: an iid
+    block is (trials, dim, n), the martingale state (n, dim, trials).  X is
+    viewed with its factor axes in front of that run, factor 0 (the
+    innermost) last of them.  |X| is taken in place, and _lq_norm reduces
+    each factor axis into that axis's first slice, in index order, so each
+    norm gets mixed_norm's operations in the same order and nothing of X's
+    size is allocated.  A cl norm's slots are then maxed into its first slot.
     """
-    n_max, _, count = X.shape
     cl = spec.norm_kind == "cl"
     sizes = [sp.size for sp in spec.spaces] + ([spec.t_size] if cl else [])
-    x = X.reshape(n_max, *reversed(sizes), count)
+    x = X.reshape(*X.shape[:-2], *reversed(sizes), X.shape[-1])
     np.abs(x, out=x)
     for sp, q in zip(spec.spaces, _exponents(spec.p)):
         x = _lq_norm(np.moveaxis(x, -2, -1), sp.weights, q, x[..., 0, :])
     if cl:
-        first = x[:, 0]
+        first = x[..., 0, :]
         for slot in range(1, spec.t_size):
-            np.maximum(first, x[:, slot], out=first)
+            np.maximum(first, x[..., slot, :], out=first)
         x = first
     return x
-
-
-def _row_sums(rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """out[t] = np.add.reduce(rows[:, t]) as numpy sums a contiguous row, for an (m, trials) stack of rows.
-
-    numpy sums a row pairwise (pairwise_sum in its loop utilities): fewer
-    than 8 entries left to right; up to 128 into 8 running sums, entry i
-    into sum i % 8, which it adds as a tree before adding the rest in turn;
-    a longer row as the sum of its two sides, split at the multiple of 8
-    nearest below half.  Here each entry is a row of trials, so every trial
-    gets its row's bytes, up to the sign of a zero sum.  work is scratch
-    of at least 13 + m.bit_length() rows.
-    """
-    m = len(rows)
-    if m < 8:
-        return np.add.reduce(rows, 0, None, out)  # left to right over the leading axis
-    if m <= 128:
-        full = m - m % 8
-        acc = rows[:8]
-        if full > 8:
-            acc = np.add(acc, rows[8:16], work[:8])
-            for i in range(16, full, 8):
-                acc += rows[i : i + 8]
-        pairs = np.add(acc[0::2], acc[1::2], work[8:12])
-        quads = np.add(pairs[0::2], pairs[1::2], work[12:14])
-        np.add(quads[0], quads[1], out)
-        for row in rows[full:]:
-            out += row
-        return out
-    half = m // 2 - m // 2 % 8
-    _row_sums(rows[:half], out, work)
-    out += _row_sums(rows[half:], work[0], work[1:])
-    return out
 
 
 def _martingale_sums(kappa: float, X: np.ndarray) -> None:
     """Turn the steps s |y| in the state X (n, dim, trials) into partial sums, in place.
 
     One loop over n steps all of the trials at once; each step is dim
-    contiguous rows of the trials, so the multiplier is broadcast over rows
-    and the mean of S(j-1) is a sum across rows (_row_sums, the sum np.mean
-    takes along a trial's row) then a true divide.  Each step does what the
-    one-trial recurrence mult = 1 + kappa tanh(mean S(j-1)),
-    S(j) = S(j-1) + s |y| mult does, with the same operations in the same
-    order, so the sums do not depend on how the trials are chunked.
+    contiguous rows of the trials, so the multiplier is broadcast over rows.
+    The mean of S(j-1) is the sum np.mean takes along a trial's row, then a
+    true divide: below 8 entries numpy adds a row left to right, as a reduce
+    across the step's rows does; from 8 on it adds pairwise, so the step is
+    copied to one contiguous row per trial and reduced along them.  Each
+    step does what the one-trial recurrence mult = 1 + kappa tanh(mean
+    S(j-1)), S(j) = S(j-1) + s |y| mult does, with the same operations in
+    the same order, so the sums do not depend on how the trials are chunked.
     """
     n_max, dim, count = X.shape
     kappa, one, size = np.float64(kappa), np.float64(1.0), np.float64(dim)
     mult = np.empty((1, count))  # 2-D like a step: a 1-D multiplier broadcast ~20% slower at dim 1
     mean = mult[0]
-    work = np.empty((13 + dim.bit_length(), count))
+    rows = np.empty((count, dim)) if dim >= 8 else None
     prev = np.zeros((dim, count))
     for cur in X:
         if dim == 1:
             np.tanh(prev, mult)
         else:
-            _row_sums(prev, mean, work)
+            if rows is None:
+                np.add.reduce(prev, 0, None, mean)
+            else:
+                np.copyto(rows, prev.T)
+                np.add.reduce(rows, 1, None, mean)
             np.divide(mult, size, mult)
             np.tanh(mult, mult)
         np.multiply(mult, kappa, mult)
@@ -526,7 +487,7 @@ def simulate_many(
     if not rs:
         raise ValueError("need at least one norming power")
     for r in rs:
-        NormingSequence.iterated_log(r)  # validates r >= 1/2
+        NormingSequence.iterated_log(r)  # validates 1/2 <= r < inf
     ns = np.arange(1, n_max + 1, dtype=float)
     loglog = np.log(np.log(ns + (E_E - 1.0)))
     divisors = np.stack([np.sqrt(ns) * loglog**r for r in rs])

@@ -440,6 +440,23 @@ def test_entropy_and_bound_reject_a_non_finite_input(tmp_path, capsys, argv, doc
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (_BOUND + ["--norming", "nan"], _ENVELOPE),
+        (_BOUND + ["--norming", "inf"], _ENVELOPE),
+        (_SIMULATE + ["--r", "nan"], {"family": "rademacher", **_SCALAR_SPEC}),
+    ],
+    ids=["bound-norming-nan", "bound-norming-inf", "simulate-r-nan"],
+)
+def test_a_non_finite_norming_power_is_an_error(tmp_path, capsys, argv, doc):
+    # bound failed later at NaN ("tail conversion requires z > 0") and printed
+    # a curve at inf; simulate failed at NaN on its own sups
+    path = _write_json(tmp_path / "doc.json", doc)
+    assert run([path if a == "{}" else a for a in argv]) == 1
+    assert "norming power" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported_not_raised(capsys):
     assert run(["norm", "--function", "/nonexistent.json", "--p", "2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -24,15 +24,15 @@ from lilbound import (
     rosenthal_upper,
     simulate_many,
 )
+from lilbound.grid_spaces import _iterated_norm
 from lilbound.lil_bounds import TailBoundCurve
 from lilbound.simulate import (
     _BLOCK,
     _chunk_sups,
     _fill_signs,
     _fill_steps,
-    _norm_trajectory,
     _rekey,
-    _row_sums,
+    _state_norms,
     _trial_rng,
 )
 
@@ -41,6 +41,18 @@ def _scalar_spec(family="rademacher", **kwargs) -> FieldSpec:
     return FieldSpec(
         family=family, spaces=(GridMeasureSpace(np.array([1.0])),), **kwargs
     )
+
+
+def _reference_norms(spec, S):
+    """||S(n)|| for (trials, n, dim) partial sums -> (trials, n), through the out-of-place _iterated_norm.
+
+    An independent reference for the in-place reduction the simulation
+    runs (_state_norms): a cl norm's slots are a leading axis, maxed after.
+    """
+    sizes = reversed([sp.size for sp in spec.spaces])
+    shaped = S.reshape(*S.shape[:-1], spec.t_size, *sizes)
+    exps = spec.p if spec.norm_kind == "mixed" else (spec.p,)
+    return _iterated_norm(shaped, [sp.weights for sp in spec.spaces], exps).max(axis=-1)
 
 
 def test_same_seed_reproduces_the_ensemble():
@@ -74,7 +86,7 @@ def test_trajectory_sups_match_hand_rolled_walk():
     # generator streams, byte for byte, for trial counts on both sides of the
     # 8-trial blocks and the 128-trial chunks, at 1 and 2 threads.  The
     # scalar Rademacher walk spells its draws and norm out; the other shapes
-    # draw through _fill_steps and norm through _norm_trajectory.
+    # draw through _fill_steps and norm through the out-of-place _iterated_norm.
     n_max, seed, r, most = 32, 99, 1.0, 300
     ns = np.arange(1, n_max + 1, dtype=float)
     div = np.sqrt(ns) * np.log(np.log(ns + (E_E - 1.0))) ** r
@@ -147,7 +159,7 @@ def test_rekeyed_generator_is_the_trial_generator():
 
 
 def test_iid_chunk_allocates_a_few_blocks():
-    # The iid pass reuses one block's stage, norm work array and scaled array
+    # The iid pass reuses one block's stage, sums array and scaled array
     # for the whole chunk, so its peak is a few blocks' worth of n * dim
     # doubles, whatever the chunk's trial count (a 32-trial stage alone was
     # 2.56 MB, and its norm's temporaries as much again each).
@@ -224,7 +236,8 @@ def test_one_point_factor_norms_match_hand_rolled_walk():
 )
 def test_trajectory_norms_are_mixed_norm(spec):
     # One kernel: the simulated norm of a row is the library's mixed_norm, bit
-    # for bit, alone or in a stack of rows.
+    # for bit, alone or in a stack of rows, in both layouts the reduction
+    # serves: an iid block (trials, dim, n) and a martingale state (n, dim, trials).
     S = np.cumsum(np.random.default_rng(20261018).normal(size=(50, spec.draw_dim)), axis=0)
     sizes = tuple(sp.size for sp in spec.spaces)
     exps = spec.p if spec.norm_kind == "mixed" else (spec.p,)
@@ -232,9 +245,10 @@ def test_trajectory_norms_are_mixed_norm(spec):
     for row in S:
         slots = [GridFunction(spec.spaces, x.reshape(sizes, order="F")) for x in row.reshape(spec.t_size, -1)]
         expected.append(max(mixed_norm(f, exps) for f in slots))
-        if spec.t_size == 1:
-            assert _norm_trajectory(spec, row[None, None])[0, 0] == expected[-1]
-    assert _norm_trajectory(spec, S[None])[0].tobytes() == np.array(expected).tobytes()
+        assert _state_norms(spec, row[None, :, None].copy())[0, 0] == expected[-1]
+    expected = np.array(expected).tobytes()
+    assert _state_norms(spec, np.ascontiguousarray(S.T)[None])[0].tobytes() == expected
+    assert _state_norms(spec, S[:, :, None].copy())[:, 0].tobytes() == expected
 
 
 def _martingale_by_hand(spec, n_max, trials, seed, rs):
@@ -263,7 +277,7 @@ def _martingale_by_hand(spec, n_max, trials, seed, rs):
         xi[:, j] = s[:, j, None] * np.abs(y[:, j]) * mult[:, None]
         running += xi[:, j]
         S[:, j] = running
-    norms = _norm_trajectory(spec, S)
+    norms = _reference_norms(spec, S)
     ns = np.arange(1, n_max + 1, dtype=float)
     sups = []
     for r in rs:
@@ -308,9 +322,9 @@ _MARTINGALE_SPECS = {
         dependence="martingale",
     ),
     "weibull-dim1": _scalar_spec("weibull", beta=1.5, dependence="martingale", kappa=0.6),
-    # a trial's mean sums its row pairwise from 8 entries on, and splits rows
-    # of more than 128 entries in two: the sums across the state's rows must
-    # take the same order on both sides of both boundaries
+    # numpy sums a trial's row left to right below 8 entries, pairwise from
+    # 8 on, and splits rows of more than 128 entries in two: the state's
+    # means must take the same order on both sides of each boundary
     **{
         f"lp-dim{dim}": FieldSpec(
             family="uniform",
@@ -320,7 +334,7 @@ _MARTINGALE_SPECS = {
             dependence="martingale",
             kappa=0.95,
         )
-        for dim in (8, 9, 16, 130)
+        for dim in (7, 8, 9, 16, 128, 129, 130)
     },
     "rademacher-mixed-dim2": FieldSpec(
         family="rademacher",
@@ -347,21 +361,6 @@ def test_martingale_sups_are_the_hand_written_recurrence_byte_for_byte(name):
                 ens = simulate_many(spec, n_max, trials, seed, rs=rs, threads=threads)
                 for k, e in enumerate(ens):
                     assert e.sup_values.tobytes() == expected[k].tobytes(), (n_max, trials, threads, e.norming_r)
-
-
-@pytest.mark.parametrize("trials", [1, 3, 128])
-def test_row_sums_are_numpys_row_reduce(trials):
-    # A martingale trial's mean reads the sum np.add.reduce takes along its
-    # contiguous row of dim entries; the state holds those entries as dim
-    # rows of trials, and _row_sums must add them in numpy's order, on both
-    # sides of its 8-entry and 128-entry boundaries.
-    rng = np.random.default_rng(20261020)
-    for dim in range(1, 301):
-        S = rng.standard_normal((trials, dim)) * 10.0 ** rng.integers(-6, 7, size=(trials, dim))
-        out = np.empty(trials)
-        work = np.empty((13 + dim.bit_length(), trials))
-        _row_sums(np.ascontiguousarray(S.T), out, work)
-        assert out.tobytes() == np.add.reduce(S, axis=1).tobytes(), dim
 
 
 @pytest.mark.parametrize("name", ["lp-dim1", "mixed-dim2"])
@@ -413,7 +412,7 @@ def _iid_norms(spec, n_max, trials, seed):
     steps = np.empty((trials, n_max, spec.draw_dim))
     for trial in range(trials):
         _fill_steps(spec, _trial_rng(seed, trial), steps[trial])
-    return _norm_trajectory(spec, np.cumsum(steps, axis=1))
+    return _reference_norms(spec, np.cumsum(steps, axis=1))
 
 
 @pytest.mark.parametrize("family", ["rademacher", "uniform", "gaussian"])
