@@ -13,10 +13,12 @@ martingale cells at dims 8 and 130, where a trial's mean sums its row
 pairwise (and, at 130, splits it in two).  Each runs 300 trials (three
 chunks) at r = 1/2 and 1, to n = 10^4; to 9,999 for the two scalar "-odd"
 cells, whose trials draw an odd number of value signs before their shared
-signs; and to 10^3 for the wide cells, whose (n, dim, 128) chunk state is
-then 8 and 133 MB.  One digest is printed per thread count, 1 and 2; a
-change that keeps every simulated byte prints the same two digests as its
-parent.
+signs; and to 10^3 for the wide cells.  A dim-8 chunk's (n, dim, trials)
+state is then 8 MB.  At dim 130 a chunk holds the 32 trials whose state
+fits simulate._STATE_BYTES (33 MB, where 128 trials would take 133 MB), so
+that cell runs ten chunks.  One digest is printed per thread count, 1 and
+2; a change that keeps every simulated byte prints the same two digests as
+its parent.
 """
 
 import hashlib

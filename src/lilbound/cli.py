@@ -32,7 +32,7 @@ from .envelopes import envelope_from_json
 from .grid_spaces import grid_function_from_json, mixed_norm
 from .lil_bounds import TailBoundCurve, evaluate_bound_curve
 from .partitions import NormingSequence
-from .entropy_ct import covering_from_json, nu_p_detail
+from .entropy_ct import covering_from_json, nu_p_detail, sigma_hat
 from .simulate import EmpiricalCurve, FieldSpec, dominance_report, empirical_Q, simulate_many
 
 __all__ = ["RunConfig", "run", "main"]
@@ -185,7 +185,7 @@ def _cmd_entropy(args) -> int:
     rows = []
     for Z in z_grid:
         sig_bar = args.sigma_coeff * Z**args.sigma_power
-        sig_hat = rosenthal_upper(args.p * Z) ** args.p * sig_bar
+        sig_hat = sigma_hat(sig_bar, args.p, Z)
         detail = nu_p_detail(sig_hat, args.p, Z, covering=covering, theta_grid=theta)
         rows.append((Z, sig_bar, sig_hat, detail.value, detail.best_theta))
     _write_csv(args.out, ["Z", "sigma_bar", "sigma_hat", "nu_p", "theta"], rows)

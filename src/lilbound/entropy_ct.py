@@ -234,9 +234,10 @@ def sigma_bar(field: IndexedField, p: float, Z: float) -> float:
     return float(per_t.max())
 
 
-def sigma_hat(field: IndexedField, p: float, Z: float) -> float:
-    """sigma_hat = K_R^p(pZ) * sigma_bar."""
-    sig_bar = sigma_bar(field, p, Z)  # checks p and Z before K_R sees them
+def sigma_hat(source, p: float, Z: float) -> float:
+    """sigma_hat = K_R^p(pZ) * sigma_bar, of an IndexedField or of a given sigma_bar."""
+    _check_p_Z(p, Z)  # before K_R sees them
+    sig_bar = sigma_bar(source, p, Z) if isinstance(source, IndexedField) else source
     return rosenthal_upper(p * Z) ** p * sig_bar
 
 

@@ -60,7 +60,7 @@ class MomentEnvelope:
     built on g diverges for every norming power r < r0 (see lil_bounds); 0
     claims nothing.  Envelopes built from field moments set r0 = gamma when
     their g grows at least like L^gamma / log L: 1 for bounded fields, more
-    for the gaussian and weibull families (envelope_for_field_spec).
+    for heavier tails (the family table in simulate).
     """
 
     L_grid: np.ndarray
@@ -156,43 +156,20 @@ def _field_g(point_roots, axes, exps) -> Callable[[float], float]:
     return g
 
 
-def _log_abs_moment(spec: FieldSpec, L: float) -> np.ndarray:
-    """log E|xi(x)|^L per grid point, in flat order (first factor fastest)."""
-    nx = spec.x_size
-    if spec.family == "rademacher":
-        out = np.zeros(nx)
-    elif spec.family == "uniform":
-        if spec.a == 0.0:
-            return np.full(nx, -math.inf)
-        out = np.full(nx, L * math.log(spec.a) - math.log(L + 1.0))
-    elif spec.family == "gaussian":
-        sig = np.atleast_1d(np.asarray(spec.sigma, dtype=float))
-        with np.errstate(divide="ignore"):
-            out = L * np.log(sig)
-        out += 0.5 * L * math.log(2.0) + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi)
-    else:
-        out = np.full(nx, math.lgamma(L / spec.beta + 1.0))
-    if spec.dependence == "martingale":
-        out = out + L * math.log1p(spec.kappa)
-    return out
-
-
 def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     """Moment envelope g(L) = 2 K_R(L) ||x -> (E|xi(x)|^L)^(1/L)|| for a field spec.
 
     The norm is the spec's own, lp as the one-factor case of mixed, and the
-    roots come from closed-form moments.  A one-point space takes its root
-    as one scalar in log space, (m w^(L/p))^(1/L) = exp(log m / L + log w / p),
-    with no array work per L; every other space goes through _field_g.  The
-    martingale mode only inflates moments by its amplitude cap (1 + kappa);
-    the Rosenthal constant used is the independent-summand one, so treat
-    martingale envelopes as exploratory.  cl norms need the chaining
-    machinery instead and are rejected here.  r0 is the power gamma in the
-    growth g(L) >= c L^gamma / log L (see lil_bounds): 3/2 for gaussian, whose
-    root grows like sqrt(L), 1 + 1/beta for weibull, whose root grows like
-    L^(1/beta), and 1 otherwise; the martingale factor (1 + kappa) changes no
-    power.  A field that vanishes (every moment is 0) has g = 0, r0 = 0 and
-    the bound 0.
+    roots come from its family's closed-form log moments (spec.log_moments).
+    A one-point space takes its root as one scalar in log space,
+    (m w^(L/p))^(1/L) = exp(log m / L + log w / p), with no array work per
+    L; every other space goes through _field_g.  The martingale mode only
+    inflates moments by its amplitude cap (1 + kappa); the Rosenthal
+    constant used is the independent-summand one, so treat martingale
+    envelopes as exploratory.  cl norms need the chaining machinery instead
+    and are rejected here.  r0 is spec.growth, the power gamma in
+    g(L) >= c L^gamma / log L that the family table in simulate gives, or 0
+    for a field that vanishes: every moment is 0, and so are g and the bound.
     """
     if spec.norm_kind == "cl":
         raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
@@ -200,28 +177,17 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     p_low = max(exps)
     if p_low < 2.0:
         raise ValueError("envelopes need every norm exponent >= 2")
+    log_moments = spec.log_moments
     if spec.x_size == 1:
         log_w = sum(math.log(sp.weights[0]) / q for sp, q in zip(spec.spaces, exps))
 
         def g_fn(L: float) -> float:
-            return 2.0 * rosenthal_upper(L) * math.exp(_log_abs_moment(spec, L)[0] / L + log_w)
+            return 2.0 * rosenthal_upper(L) * math.exp(log_moments(L) / L + log_w)
 
     else:
-        shape = tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
-        g_fn = _field_g(
-            lambda L: np.exp(_log_abs_moment(spec, L).reshape(shape) / L),
-            spec.spaces,
-            exps,
-        )
-    if not np.any(_log_abs_moment(spec, p_low) > -math.inf):
-        r0 = 0.0
-    elif spec.family == "gaussian":
-        r0 = 1.5
-    elif spec.family == "weibull":
-        r0 = 1.0 + 1.0 / spec.beta
-    else:
-        r0 = 1.0
-    return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=r0)
+        nx, shape = spec.x_size, tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
+        g_fn = _field_g(lambda L: np.exp(np.full(nx, log_moments(L) / L).reshape(shape)), spec.spaces, exps)
+    return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=spec.growth)
 
 
 def envelope_from_field(xi: GridFunction, p, L_grid) -> MomentEnvelope:

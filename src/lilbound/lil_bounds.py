@@ -13,8 +13,8 @@ differ only in how the envelope fed to the tail conversion was built.
 Where the series provably diverges the walk is skipped.  An envelope with
 r0 > 0 claims that the series diverges for every norming power r < r0.
 A field envelope claims r0 = gamma when its g grows like L^gamma / log L
-(gamma = 1 for bounded fields, 3/2 for gaussian, 1 + 1/beta for weibull),
-by this argument:
+(gamma = 1 for bounded fields, 3/2 for gaussian, 1 + 1/beta for weibull,
+as simulate's family table gives it to FieldSpec.growth), by this argument:
 
 * Lower growth of g.  A field envelope is g(L) = 2 K_R(L) root(L) with
   K_R(L) = C L / (e log L) and root(L) = ||x -> (E|xi(x)|^L)^(1/L)||, the

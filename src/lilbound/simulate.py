@@ -20,7 +20,8 @@ the chunk's trials, which one Python loop over n turns into partial sums.
 Every value is computed as in the one-trial recurrence, so the draws and
 the output bytes are those of stepping each trial on its own.  Signs are
 read from raw Philox words, as the bits numpy's integers(0, 2) takes from
-them (_fill_signs).
+them (_fill_signs).  A martingale chunk holds fewer trials where its state
+would outgrow _STATE_BYTES.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Union
+from functools import cached_property, partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -55,8 +56,10 @@ __all__ = [
     "resolve_threads",
 ]
 
-_FAMILIES = ("rademacher", "uniform", "gaussian", "weibull")
 _CHUNK = 128
+# cap on a martingale chunk's (n, dim, trials) state: 128 trials of dim 2 to n = 10^4
+# are 20.5 MB, of dim 130 to n = 10^3 133 MB (and 1.33 GB to 10^4, per worker)
+_STATE_BYTES = 32 << 20
 # iid trials per block: 8 trials to n = 10^4 are 0.64 MB per dimension.  At one
 # worker, blocks of 1 and 8 trials ran equally fast; at two, rademacher-lp ran at
 # ~40M trial-steps/s with 1-trial blocks against 65-73M with 8, the difference
@@ -64,6 +67,22 @@ _CHUNK = 128
 _BLOCK = 8
 # steps per block of the martingale divide-and-max: 256 steps of 128 trials are 256 KiB
 _STEPS = 256
+
+
+def _gaussian_log_moment(sigma: np.ndarray, L: float) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # sigma = 0 has log moment -inf
+        return L * np.log(sigma) + (0.5 * L * math.log(2.0) + math.lgamma((L + 1.0) / 2.0) - 0.5 * math.log(math.pi))
+
+
+# Each field family's facts but its draws (_fill_steps): the FieldSpec parameter it takes,
+# (value, L) -> log E|xi(x)|^L (one number for every grid point, or an array over them),
+# and value -> the power gamma in its envelope's growth g(L) >= c L^gamma / log L (lil_bounds).
+_FAMILIES = {
+    "rademacher": (None, lambda _, L: 0.0, lambda _: 1.0),
+    "uniform": ("a", lambda a, L: L * math.log(a) - math.log(L + 1.0) if a > 0.0 else -math.inf, lambda _: 1.0),
+    "gaussian": ("sigma", _gaussian_log_moment, lambda _: 1.5),
+    "weibull": ("beta", lambda beta, L: math.lgamma(L / beta + 1.0), lambda beta: 1.0 + 1.0 / beta),
+}
 
 
 @dataclass(frozen=True)
@@ -93,7 +112,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; pick one of {_FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; pick one of {tuple(_FAMILIES)}")
         if self.dependence not in ("iid", "martingale"):
             raise ValueError("dependence must be 'iid' or 'martingale'")
         if not 0.0 <= self.kappa < 1.0:
@@ -101,6 +120,7 @@ class FieldSpec:
         spaces = tuple(self.spaces)
         if not spaces or not all(isinstance(s, GridMeasureSpace) for s in spaces):
             raise ValueError("spaces must be a nonempty tuple of GridMeasureSpace")
+        object.__setattr__(self, "spaces", spaces)
         if self.norm_kind == "lp" or self.norm_kind == "cl":
             if len(spaces) != 1:
                 raise ValueError(f"{self.norm_kind} norm takes exactly one space factor")
@@ -127,20 +147,33 @@ class FieldSpec:
             if not np.all(np.isfinite(sig) & (sig >= 0.0)):
                 raise ValueError("gaussian sigma must be finite and nonnegative")
             if sig.ndim == 0:
-                sig = np.full(self.x_size_of(spaces), float(sig))
-            elif sig.shape != (self.x_size_of(spaces),):
+                sig = np.full(self.x_size, float(sig))
+            elif sig.shape != (self.x_size,):
                 raise ValueError("per-point sigma must have one entry per grid point")
             object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "spaces", spaces)
-
-    @staticmethod
-    def x_size_of(spaces) -> int:
-        return math.prod(s.size for s in spaces)
 
     @cached_property
     def x_size(self) -> int:
-        # read on every g evaluation of the spec's envelope
-        return self.x_size_of(self.spaces)
+        return math.prod(s.size for s in self.spaces)
+
+    @cached_property
+    def log_moments(self) -> Callable[[float], Union[float, np.ndarray]]:
+        """L -> log E|xi(x)|^L: one number for every grid point, or an array over them (first factor fastest)."""
+        name, log_moment, _ = _FAMILIES[self.family]
+        value = getattr(self, name) if name else None
+        if isinstance(value, np.ndarray) and self.x_size == 1:
+            value = value[0]  # a one-point space's per-point parameter, so one number
+        if self.dependence == "iid":
+            return partial(log_moment, value)
+        log_cap = math.log1p(self.kappa)  # the martingale steps are the iid ones times at most 1 + kappa
+        return lambda L: log_moment(value, L) + L * log_cap
+
+    @cached_property
+    def growth(self) -> float:
+        """The family's gamma in g(L) >= c L^gamma / log L (see lil_bounds); 0 for a field that is 0."""
+        name, _, growth = _FAMILIES[self.family]
+        vanishes = not np.any(np.asarray(self.log_moments(2.0)) > -math.inf)
+        return 0.0 if vanishes else growth(getattr(self, name) if name else None)
 
     @property
     def draw_dim(self) -> int:
@@ -153,12 +186,9 @@ class FieldSpec:
             "norm": {"kind": self.norm_kind, "p": list(self.p) if isinstance(self.p, tuple) else self.p},
             "spaces": [{"weights": [float(x) for x in s.weights]} for s in self.spaces],
         }
-        if self.family == "uniform":
-            data["a"] = self.a
-        if self.family == "gaussian":
-            data["sigma"] = [float(x) for x in np.atleast_1d(self.sigma)]
-        if self.family == "weibull":
-            data["beta"] = self.beta
+        name = _FAMILIES[self.family][0]
+        if name is not None:
+            data[name] = np.asarray(getattr(self, name)).tolist()
         if self.dependence == "martingale":
             data["kappa"] = self.kappa
         if self.norm_kind == "cl":
@@ -417,7 +447,7 @@ def _state_norms(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
     x = X.reshape(*X.shape[:-2], *reversed(sizes), X.shape[-1])
     np.abs(x, out=x)
     for sp, q in zip(spec.spaces, _exponents(spec.p)):
-        x = _lq_norm(np.moveaxis(x, -2, -1), sp.weights, q, x[..., 0, :])
+        x = _lq_norm(x.swapaxes(-2, -1), sp.weights, q, x[..., 0, :])
     if cl:
         first = x[..., 0, :]
         for slot in range(1, spec.t_size):
@@ -493,7 +523,8 @@ def simulate_many(
     divisors = np.stack([np.sqrt(ns) * loglog**r for r in rs])
     divisors[:, 0] = 1.0  # sqrt(1) * v(1), exactly
     workers = resolve_threads(threads)
-    bounds = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    size = _CHUNK if spec.dependence == "iid" else max(1, min(_CHUNK, _STATE_BYTES // (8 * n_max * spec.draw_dim)))
+    bounds = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     sups = np.empty((len(rs), trials))
     if workers <= 1 or len(bounds) == 1:
         for lo, hi in bounds:

@@ -440,6 +440,15 @@ def test_entropy_and_bound_reject_a_non_finite_input(tmp_path, capsys, argv, doc
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["0.5", "nan"])
+def test_entropy_checks_p_before_the_rosenthal_constant(tmp_path, capsys, p):
+    # both used to fail inside K_R(pZ) with "rosenthal_upper requires p > 1",
+    # where --p 1.5 got the entropy functional's own message
+    path = _write_json(tmp_path / "cov.json", _ANALYTIC)
+    assert run(["entropy", "--covering", path, "--p", p]) == 1
+    assert "p must be finite and >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,doc",
     [

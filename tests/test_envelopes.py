@@ -563,3 +563,42 @@ def test_criterion_06_envelope_bytes_are_pinned():
             g = envelope_for_field_spec(spec).g_values.astype("<f8")
             got[f"{family}-{kind}"] = hashlib.sha256(g.tobytes()).hexdigest()
     assert got == _PINNED_G_SHA256
+
+
+# the same pin off criterion 06's defaults: each family's parameter, one-point and
+# several-point g, the factored-out fallback of heavy tails, martingale inflation
+_PINNED_SPECS = {
+    "gaussian-lp-scalar-sigma": FieldSpec(family="gaussian", spaces=_SCALAR, p=2.0, sigma=1.3),
+    "gaussian-lp-scalar-sigma-three-points": FieldSpec(family="gaussian", spaces=_THREE, p=2.0, sigma=0.7),
+    "gaussian-mixed-per-point-sigma": FieldSpec(
+        family="gaussian", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), sigma=np.array([0.5, 2.0])
+    ),
+    "uniform-lp-a0.3": FieldSpec(family="uniform", spaces=_SCALAR, p=2.0, a=0.3),
+    "uniform-mixed-a0.3": FieldSpec(family="uniform", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), a=0.3),
+    "weibull-lp-beta0.05-three-points": FieldSpec(family="weibull", spaces=_THREE, p=2.0, beta=0.05),
+    "rademacher-mixed-martingale": FieldSpec(
+        family="rademacher", spaces=_TWO, norm_kind="mixed", p=(2.0, 3.0), dependence="martingale"
+    ),
+    "gaussian-lp-martingale": FieldSpec(
+        family="gaussian", spaces=_SCALAR, p=2.0, sigma=0.7, dependence="martingale", kappa=0.3
+    ),
+}
+_PINNED_SPEC_G_SHA256 = {
+    "gaussian-lp-scalar-sigma": "308c5ebd18b1fe64282108c2983bcd3d0b7d742940e442453af2df48bacd20e6",
+    "gaussian-lp-scalar-sigma-three-points": "b1499d14bbcc32e45cbf5904af3dfae7892f19f37ad43683bebc9e1087317bef",
+    "gaussian-mixed-per-point-sigma": "588427050376b2de0f48bda5261aa3593a112ae39b3f1247ebe9c1c3d6f0023c",
+    "uniform-lp-a0.3": "d48b5e36b4d8e0ad6d40789277a8a77be7c36dabf8cb8000e494a18db7631604",
+    "uniform-mixed-a0.3": "6b0ed0adc0387fa5fd790e6207d66cd5af744a90a27bcc9ea917eddeee3b76eb",
+    "weibull-lp-beta0.05-three-points": "a6de2a7f20c01317a8b845e8a7d9f223333314ff72cbf6ef6a41ac8849fcb31c",
+    "rademacher-mixed-martingale": "be23be65c7b3b09433073aca0aa78a5f6143956574413ac278d6db6f9f8f424d",
+    "gaussian-lp-martingale": "ae74476a281cfb6cfc397133f05a126a2eda9e4e02317772f7d6e6cf1c2ac782",
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_envelope_bytes_are_pinned_off_the_criterion_06_defaults():
+    got = {}
+    for name, spec in _PINNED_SPECS.items():
+        g = envelope_for_field_spec(spec).g_values.astype("<f8")
+        got[name] = hashlib.sha256(g.tobytes()).hexdigest()
+    assert got == _PINNED_SPEC_G_SHA256

@@ -1,6 +1,7 @@
 """Monte Carlo harness: reproducibility, statistics, envelopes for field specs."""
 
 import dataclasses
+import json
 import math
 import os
 import tracemalloc
@@ -28,6 +29,7 @@ from lilbound.grid_spaces import _iterated_norm
 from lilbound.lil_bounds import TailBoundCurve
 from lilbound.simulate import (
     _BLOCK,
+    _STATE_BYTES,
     _chunk_sups,
     _fill_signs,
     _fill_steps,
@@ -386,6 +388,22 @@ def test_martingale_chunk_allocates_its_state_and_a_few_blocks(name):
     assert peak <= state + 10 * _BLOCK * n_max * spec.draw_dim * 8
 
 
+def test_a_wide_martingale_batch_keeps_its_state_within_the_budget():
+    # 128 trials of dim 130 to n = 10^3 would be one 133 MB state; cut into
+    # chunks whose state fits _STATE_BYTES, the batch peaks at one of them
+    # and the block stage
+    n_max, trials = 1_000, 128
+    spec = _MARTINGALE_SPECS["lp-dim130"]
+    tracemalloc.start()
+    try:
+        (ens,) = simulate_many(spec, n_max, trials, 5, rs=(1.0,), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.sup_values.shape == (trials,)
+    assert peak <= _STATE_BYTES + 2 * _BLOCK * n_max * spec.draw_dim * 8
+
+
 def test_martingale_steps_are_conditionally_centered():
     # The sign-flip coupling keeps E[xi_j | past] = 0 while the multiplier
     # 1 + kappa tanh(mean S(j-1)) varies with the past: the steps' mean,
@@ -584,6 +602,30 @@ def test_envelope_rejects_cl_norm_spec():
     )
     with pytest.raises(ValueError):
         envelope_for_field_spec(spec)
+
+
+_PINNED_SPEC_JSON = {
+    "rademacher": '{"family": "rademacher", "dependence": "martingale", "norm": {"kind": "lp", "p": 3.0}, '
+    '"spaces": [{"weights": [0.4, 0.6]}], "kappa": 0.3}',
+    "uniform": '{"family": "uniform", "dependence": "iid", "norm": {"kind": "mixed", "p": [2.0, 3.0]}, '
+    '"spaces": [{"weights": [1.0]}, {"weights": [0.25, 0.75]}], "a": 0.7}',
+    "gaussian": '{"family": "gaussian", "dependence": "iid", "norm": {"kind": "lp", "p": 2.0}, '
+    '"spaces": [{"weights": [0.4, 0.6]}], "sigma": [0.5, 2.0]}',
+    "weibull": '{"family": "weibull", "dependence": "iid", "norm": {"kind": "cl", "p": 2.0}, '
+    '"spaces": [{"weights": [0.4, 0.6]}], "beta": 1.5, "t_size": 3}',
+}
+
+
+def test_field_spec_json_text_is_pinned_per_family():
+    one = (GridMeasureSpace(np.array([0.4, 0.6])),)
+    two = (GridMeasureSpace(np.array([1.0])), GridMeasureSpace(np.array([0.25, 0.75])))
+    specs = [
+        FieldSpec(family="rademacher", spaces=one, p=3.0, dependence="martingale", kappa=0.3),
+        FieldSpec(family="uniform", spaces=two, norm_kind="mixed", p=(2.0, 3.0), a=0.7),
+        FieldSpec(family="gaussian", spaces=one, sigma=np.array([0.5, 2.0])),
+        FieldSpec(family="weibull", spaces=one, norm_kind="cl", t_size=3, beta=1.5),
+    ]
+    assert {spec.family: json.dumps(spec.to_json()) for spec in specs} == _PINNED_SPEC_JSON
 
 
 def test_field_spec_json_round_trip():
