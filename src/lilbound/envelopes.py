@@ -141,16 +141,29 @@ def _field_g(point_roots, axes, exps) -> Callable[[float], float]:
     is one factor).  Where a root^p overflows, the largest root is factored
     out first; every finite norm keeps its bytes.  The 2 covers the maximal
     inequality inside g, so the tail-sum argument stays u*v(A(k))/w.
+
+    Moment roots do not decrease in L (Lyapunov), and neither does each
+    power and sum inside the norm, so a norm that came out finite at some L
+    overflows nowhere below it.  Up to the largest such L the norm runs
+    bare; above it, overflow is silenced for the try that may fall back.
     """
     weights = [ax.weights for ax in axes]
+    finite_to = -math.inf
 
     def g(L: float) -> float:
+        nonlocal finite_to
         roots = point_roots(L)
-        norm = _iterated_norm(roots, weights, exps)
-        if not math.isfinite(norm):
-            # a root^p overflowed (heavy tails at large L): factor out the largest root
-            top = roots.max()
-            norm = top * _iterated_norm(roots / top, weights, exps)
+        if L <= finite_to:
+            norm = _iterated_norm(roots, weights, exps)
+        else:
+            with np.errstate(over="ignore"):
+                norm = _iterated_norm(roots, weights, exps)
+            if math.isfinite(norm):
+                finite_to = L
+            else:
+                # a root^p overflowed (heavy tails at large L): factor out the largest root
+                top = roots.max()
+                norm = top * _iterated_norm(roots / top, weights, exps)
         return 2.0 * rosenthal_upper(L) * norm
 
     return g

@@ -10,11 +10,14 @@ class-Y(w) parameter.  One assembly, upper_bound, serves the plain (G),
 mixed-norm (F) and entropy-functional (Theta) bounds of the paper; they
 differ only in how the envelope fed to the tail conversion was built.
 
-Where the series provably diverges the walk is skipped.  An envelope with
-r0 > 0 claims that the series diverges for every norming power r < r0.
-A field envelope claims r0 = gamma when its g grows like L^gamma / log L
-(gamma = 1 for bounded fields, 3/2 for gaussian, 1 + 1/beta for weibull,
-as simulate's family table gives it to FieldSpec.growth), by this argument:
+Two skips save work without changing a value.  optimize_bound skips a
+partition candidate whose first term alone already loses to the best value
+so far (see its docstring).  And where the series provably diverges the
+walk is skipped: an envelope with r0 > 0 claims that the series diverges
+for every norming power r < r0.  A field envelope claims r0 = gamma when
+its g grows like L^gamma / log L (gamma = 1 for bounded fields, 3/2 for
+gaussian, 1 + 1/beta for weibull, as simulate's family table gives it to
+FieldSpec.growth), by this argument:
 
 * Lower growth of g.  A field envelope is g(L) = 2 K_R(L) root(L) with
   K_R(L) = C L / (e log L) and root(L) = ||x -> (E|xi(x)|^L)^(1/L)||, the
@@ -68,6 +71,8 @@ _TRUNCATION_REL = 1e-16
 _MAX_TERMS = 10_000
 _D_RANGE = range(2, 17)
 MAX_ADMISSIBLE_W_EPS = 1e-9
+# A partition candidate is skipped only if its first-term floor, shrunk by this margin, still loses
+_SKIP_MARGIN = 1e-6
 
 # Leading terms get the refined tail conversion (closed form on grid
 # envelopes, Brent's method on callables); deeper terms, whose relative mass
@@ -136,18 +141,19 @@ def _sum_block_tails(
     w: float,
     u: float,
     cutoff: float = 1.0,
-) -> Optional[BoundEvaluation]:
-    """The block series, or None once the running sum reaches a cutoff below 1.
+) -> tuple[Optional[BoundEvaluation], Optional[float]]:
+    """The block series, or None once the running sum reaches a cutoff below 1, with its first term.
 
     Every term is >= 0, so the running sum never exceeds the final value: a
     walk cut off at its cutoff could at most tie it.  With the cutoff at 1
     the walk is never cut; reaching 1 makes the value vacuous.  Below the
     envelope's r0 the series diverges (see the module docstring), and the
-    value is 1 without a term.
+    value is 1 without a term: the first term is then None.
     """
     d = partition.d
     if norming.r < env.r0:
-        return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True) if cutoff >= 1.0 else None
+        return (BoundEvaluation(1.0, d, w, vacuous=True, diverged=True) if cutoff >= 1.0 else None), None
+    first = None
     total = 0.0
     log_scale = math.log(u / w)
     k = 0
@@ -159,6 +165,8 @@ def _sum_block_tails(
         vs = _block_normings(partition, norming, k + batch)[k : k + batch]
         if refined:
             terms = np.array([tail_from_envelope(env, u * v / w) for v in vs.tolist()])
+            if first is None:
+                first = float(terms[0])
         else:
             terms = grid_scan_tails(env, log_scale + np.log(vs))
         running = total + np.cumsum(terms)
@@ -169,13 +177,13 @@ def _sum_block_tails(
         if stops.size:
             j = int(stops[0])
             if running[j] < cutoff:
-                return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1)
+                return BoundEvaluation(float(running[j]), d, w, terms=k + j + 1), first
             if cutoff < 1.0:
-                return None
-            return BoundEvaluation(1.0, d, w, vacuous=True, terms=k + j + 1)
+                return None, first
+            return BoundEvaluation(1.0, d, w, vacuous=True, terms=k + j + 1), first
         k += batch
         total = running[-1]
-    return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True, terms=_MAX_TERMS)
+    return BoundEvaluation(1.0, d, w, vacuous=True, diverged=True, terms=_MAX_TERMS), first
 
 
 def upper_bound(
@@ -201,7 +209,7 @@ def upper_bound(
         raise ValueError(
             f"partition is not in class Y(w={w}); ratio drops below w^2 at k={violated_at}"
         )
-    return _sum_block_tails(env, partition, norming, w, u)
+    return _sum_block_tails(env, partition, norming, w, u)[0]
 
 
 def max_admissible_w(d: int) -> float:
@@ -212,21 +220,47 @@ def max_admissible_w(d: int) -> float:
 def optimize_bound(env: MomentEnvelope, norming: NormingSequence, u: float) -> BoundEvaluation:
     """Minimize the bound over the geometric partitions d = 2..16.
 
-    Each candidate d uses w = sqrt(d) - 1e-9, the largest w with w^2 <= d.
+    Each candidate d uses w_d = sqrt(d) - 1e-9, the largest w with w^2 <= d.
     The terms h(u v(A(k)) / w) grow with w, so this is the worst admissible
     w for the partition, not the best.  Ties break toward smaller d; if every
-    candidate is vacuous the result is 1.0 with the vacuous flag set.
-    Candidates are walked in order of d, and a walk is cut once its running
-    sum reaches the best value so far: it could then at most tie, and ties go
-    to the smaller d.  The result is the same as walking every candidate to
-    its end.
+    candidate is vacuous the result is 1.0 with the vacuous flag set.  The
+    result is the same as walking every candidate to its end, by two
+    arguments:
+
+    * Cut-off.  Candidates are walked in order of d, and a walk is cut once
+      its running sum reaches the best value so far: it could then at most
+      tie, and ties go to the smaller d.
+    * First-term certificate.  A(1) = 1 for every d, so candidate d's first
+      term is h(z / c) with z = u v(1) / w_2 and c = w_d / w_2 > 1.  Every
+      order L the tail conversion evaluates is >= L0, the envelope's first
+      knot, so each objective L (log g(L) - log z) rises by at least
+      L0 log c from z to z / c, and h(z / c) >= min(1, c^L0 t1), with t1 the
+      first term of the d = 2 walk.  Terms are >= 0, so d is skipped once
+      L0 log c + log t1 + log(1 - 1e-6) >= log(best value): it could at most
+      tie.  The test is taken in log space, where a large L0 cannot
+      overflow c^L0, and c grows with d while the best value only falls, so
+      every later d is skipped too.  The 1e-6 margin covers the refinement's
+      roundoff, which can find the minimum at z / c slightly lower than at
+      z.  Were the certificate fooled, the value printed would still be a
+      valid bound, from the best candidate walked.
+
+    Below the envelope's r0 every candidate is the same diverged 1.0, and
+    d = 2 is the one reported.
     """
     u = _require_u(u)
-    best = None
-    for d in _D_RANGE:
-        cutoff = 1.0 if best is None else best.value
-        ev = _sum_block_tails(env, geometric_partition(d), norming, max_admissible_w(d), u, cutoff)
-        if ev is not None and (best is None or ev.value < best.value):
+    w_2 = max_admissible_w(2)
+    best, first = _sum_block_tails(env, geometric_partition(2), norming, w_2, u)
+    if first is None:
+        return best
+    L0 = float(env.L_grid[0])
+    # a negative order would lower the objective: no certificate then
+    log_floor = math.log(first) + math.log1p(-_SKIP_MARGIN) if first > 0.0 and L0 >= 0.0 else -math.inf
+    for d in _D_RANGE[1:]:
+        w = max_admissible_w(d)
+        if best.value == 0.0 or L0 * math.log(w / w_2) + log_floor >= math.log(best.value):
+            break
+        ev, _ = _sum_block_tails(env, geometric_partition(d), norming, w, u, best.value)
+        if ev is not None and ev.value < best.value:
             best = ev
     return best
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -538,6 +539,21 @@ def test_heavy_tailed_field_envelopes_stay_finite_where_a_root_squared_overflows
         root = math.exp(math.lgamma(1e8 / 0.05 + 1.0) / 1e8)
         mass = math.prod(sp.total_mass for sp in spaces) ** 0.5
         assert env.g(1e8) == pytest.approx(2.0 * rosenthal_upper(1e8) * root * mass, rel=1e-12)
+
+
+_HEAVY_TAILED_G_SHA256 = "a6de2a7f20c01317a8b845e8a7d9f223333314ff72cbf6ef6a41ac8849fcb31c"
+
+
+def test_heavy_tailed_field_envelopes_build_without_an_overflow_warning():
+    # the same weibull beta = 0.05 envelopes: where root^2 overflows and the
+    # fallback takes over, no warning may escape, and no g byte moves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spaces, kind, p in ((_THREE, "lp", 2.0), (_TWO, "mixed", (2.0, 2.0))):
+            env = envelope_for_field_spec(FieldSpec(family="weibull", spaces=spaces, norm_kind=kind, p=p, beta=0.05))
+            assert hashlib.sha256(env.g_values.tobytes()).hexdigest() == _HEAVY_TAILED_G_SHA256
+            for i in (0, 128, env.L_grid.size - 1):
+                assert env._g_fn(float(env.L_grid[i])) == env.g_values[i]
 
 
 # sha256 of g_values (float64, little-endian) of the six criterion-06 field-spec

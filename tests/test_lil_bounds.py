@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lilbound import (
     FieldSpec,
@@ -239,9 +241,24 @@ def test_optimize_bound_keeps_a_later_winner_bitwise(r):
     assert best.d == 3 and 0.0 < best.value < 1.0
 
 
+def _count_walks(monkeypatch) -> list:
+    walks = []
+    walk = lil_bounds._sum_block_tails
+
+    def counted_walk(env, partition, *args):
+        walks.append(partition.d)
+        return walk(env, partition, *args)
+
+    monkeypatch.setattr(lil_bounds, "_sum_block_tails", counted_walk)
+    return walks
+
+
 def test_optimize_bound_cuts_losing_walks(monkeypatch):
     # At rademacher-lp, r = 1, u = 12 the winner is d = 2; every other
     # candidate must stop once it cannot beat it, not walk to its end.
+    # The winner is 2.33 times the d = 2 walk's first term t1, and with
+    # L0 = 2 candidate d's first term is at least (d / 2) t1: d >= 5 are
+    # skipped without a walk, and d = 3, 4 stop after their first term.
     env = envelope_for_field_spec(FieldSpec(family="rademacher", spaces=_SCALAR, p=2.0))
     calls = [0]
     tail = lil_bounds.tail_from_envelope
@@ -251,11 +268,95 @@ def test_optimize_bound_cuts_losing_walks(monkeypatch):
         return tail(env, z)
 
     monkeypatch.setattr(lil_bounds, "tail_from_envelope", counted_tail)
+    walks = _count_walks(monkeypatch)
     best = optimize_bound(env, _norming(1.0), 12.0)
     pruned, calls[0] = calls[0], 0
+    assert walks == [2, 3, 4]
     ref = _exhaustive_optimum(env, _norming(1.0), 12.0)
     assert best == ref and not best.vacuous
+    assert best.terms > lil_bounds._REFINED_TERMS  # the winner's refined prefix, then d = 3, 4 once each
+    assert pruned == lil_bounds._REFINED_TERMS + 2
     assert 3 * pruned <= calls[0]
+
+
+_FAMILY_PARAMETERS = {
+    "rademacher": st.just({}),
+    "uniform": st.builds(dict, a=st.floats(0.05, 3.0)),
+    "gaussian": st.builds(dict, sigma=st.floats(0.05, 3.0)),
+    "weibull": st.builds(dict, beta=st.floats(0.4, 3.0)),
+}
+
+
+@st.composite
+def _optimize_cases(draw):
+    """A callable envelope (a L^gamma or a field spec's), maybe read back from JSON as a grid, with r and u."""
+    if draw(st.booleans()):
+        a, gamma = draw(st.floats(0.02, 5.0)), draw(st.floats(0.5, 2.5))
+        env = MomentEnvelope.from_callable(lambda L: a * L**gamma, domain_low=2.0)
+    else:
+        family = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS)))
+        params = draw(_FAMILY_PARAMETERS[family])
+        q = draw(st.floats(2.0, 5.0))
+        if draw(st.booleans()):
+            spec = FieldSpec(family, _TWO, norm_kind="mixed", p=(2.0, q), **params)
+        else:
+            spec = FieldSpec(family, _SCALAR, p=q, **params)
+        env = envelope_for_field_spec(spec)
+    if draw(st.booleans()):
+        env = envelope_from_json(envelope_to_json(env))
+    return env, draw(st.floats(0.5, 4.0)), draw(st.floats(math.e, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_optimize_cases())
+def test_optimize_bound_with_skipped_candidates_is_the_exhaustive_minimum(case):
+    # Skipping candidates whose first term already loses must not change a
+    # bit of the winner, on analytic and grid envelopes alike.  The floor
+    # the skip rests on holds too: candidate d's first term is at least
+    # c^L0 times d = 2's, c = w_d / w_2, up to the skip's margin.
+    env, r, u = case
+    best = optimize_bound(env, _norming(r), u)
+    ref = _exhaustive_optimum(env, _norming(r), u)
+    assert best == ref and best.value.hex() == ref.value.hex()
+    first = lil_bounds.tail_from_envelope(env, u / max_admissible_w(2))
+    for d in (3, 8, 16):
+        c = max_admissible_w(d) / max_admissible_w(2)
+        floor = min(1.0, c ** env.L_grid[0] * first) * (1.0 - lil_bounds._SKIP_MARGIN)
+        assert lil_bounds.tail_from_envelope(env, u / max_admissible_w(d)) >= floor
+
+
+def _far_grid_envelope(u):
+    # knots at L = 1e6..4e6 with g just below the d = 2 first term's argument:
+    # that term is about e^-200, every later d's is 1, and c^L0 overflows
+    z = u * _norming(1.0)(1) / max_admissible_w(2)
+    doc = {"L_grid": [1e6, 2e6, 4e6], "g_values": (z * np.exp([-2e-4, -1e-4, -4e-5])).tolist(), "p": 2.0}
+    return envelope_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "make_env, r, expected",
+    [
+        (lambda: MomentEnvelope([2.0, 4.0, 8.0], [1.0, 0.0, 3.0], 2.0), 1.0, 0.0),
+        (lambda: _far_grid_envelope(12.0), 1.0, None),
+        (_FIELD_ENVELOPES["rademacher-lp"], 0.5, 1.0),
+    ],
+    ids=["zero-knot", "first-knot-1e6", "below-r0"],
+)
+def test_optimize_bound_skips_every_later_candidate_at_the_edges(make_env, r, expected, monkeypatch):
+    # A g = 0 knot makes every term 0; a first knot at L = 1e6 puts c^L0
+    # past the float range, where only the log-space test holds; below r0
+    # every candidate is the same diverged 1.  Each time d = 2 alone is walked.
+    env = make_env()
+    walks = _count_walks(monkeypatch)
+    best = optimize_bound(env, _norming(r), 12.0)
+    assert walks == [2]
+    monkeypatch.undo()
+    ref = _exhaustive_optimum(env, _norming(r), 12.0)
+    assert best == ref and best.value.hex() == ref.value.hex()
+    if expected is None:
+        assert 0.0 < best.value < 1e-80
+    else:
+        assert best.value == expected
 
 
 def test_curve_evaluation_carries_provenance():
