@@ -15,7 +15,9 @@ criterion 07's two callables, 0.1 L^2 and 0.5 L.  Each curve is evaluated
 on geomspace(e, 60, 25) for r in {1/2, 1, 2}, once optimized over the
 partition and once at the fixed d = 4.  The digest covers every curve's
 values, d_values, w_values, truncation_k and both flag arrays, so a change
-that keeps every printed bound prints the same digest as its parent.
+that keeps every printed bound prints the same digest as its parent.  One
+line per envelope, "name sha256=...", digests that envelope's curves alone,
+so a change that moves some curves shows which; the last line is the total.
 """
 
 import hashlib
@@ -77,7 +79,8 @@ def envelopes() -> dict:
 
 def main() -> None:
     digest = hashlib.sha256()
-    for env in envelopes().values():
+    for name, env in envelopes().items():
+        own = hashlib.sha256()
         for r in RS:
             norming = NormingSequence.iterated_log(r)
             for optimize in (True, False):
@@ -91,6 +94,8 @@ def main() -> None:
                     curve.diverged_flags,
                 ):
                     digest.update(arr.tobytes())
+                    own.update(arr.tobytes())
+        print(f"{name} sha256={own.hexdigest()}")
     print(f"sha256={digest.hexdigest()}")
 
 

@@ -12,11 +12,12 @@ Chebyshev-Markov step optimized over the moment order:
     h(z) = min(1, inf_L (g(L)/z)^L),
 
 computed by a grid scan over the envelope's evaluation grid, then refined in
-log L on the two segments around the best knot: in closed form for grid
-envelopes, whose interpolated log g is piecewise linear there, and by
-Brent's method for callable ones.  The same conversion serves field,
-analytic and entropy-functional envelopes; only the construction of g
-differs.
+log L on the two segments around the best knot, in closed form on the
+interpolated log g, which is piecewise linear there.  A callable envelope
+then evaluates its exact g once at that order and keeps the smaller of the
+two objectives: any L gives a valid bound (g(L)/z)^L, so the minimum need
+not be found exactly.  The same conversion serves field, analytic and
+entropy-functional envelopes; only the construction of g differs.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
 
 _DEFAULT_GRID_POINTS = 257
 _DEFAULT_GRID_TOP = 1e8
-_BRENT_REL_WIDTH = 1e-8
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, as a share of the larger side
 
 
 @dataclass(eq=False)
@@ -79,6 +78,8 @@ class MomentEnvelope:
             raise ValueError("L_grid and g_values must be matching 1-d arrays")
         if not np.all(np.isfinite(L)) or np.any(np.diff(L) <= 0.0):
             raise ValueError("evaluation grid must be finite and strictly increasing")
+        if not L[0] > 0.0:
+            raise ValueError(f"evaluation grid must start at a positive order, got L = {L[0]}")
         domain_low = float(self.domain_low)
         if not math.isfinite(domain_low):
             raise ValueError(f"domain_low must be finite, got {domain_low}")
@@ -174,15 +175,20 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
 
     The norm is the spec's own, lp as the one-factor case of mixed, and the
     roots come from its family's closed-form log moments (spec.log_moments).
-    A one-point space takes its root as one scalar in log space,
-    (m w^(L/p))^(1/L) = exp(log m / L + log w / p), with no array work per
-    L; every other space goes through _field_g.  The martingale mode only
-    inflates moments by its amplitude cap (1 + kappa); the Rosenthal
-    constant used is the independent-summand one, so treat martingale
-    envelopes as exploratory.  cl norms need the chaining machinery instead
-    and are rejected here.  r0 is spec.growth, the power gamma in
-    g(L) >= c L^gamma / log L that the family table in simulate gives, or 0
-    for a field that vanishes: every moment is 0, and so are g and the bound.
+    Where that log moment m is one number for every point (rademacher,
+    uniform, weibull, and gaussian on one point), the root is the constant
+    e^(m/L), and its iterated norm is that constant times prod_k
+    mu_k(X_k)^(1/q_k): g is one scalar in log space, exp(m / L + log_w) with
+    log_w = sum_k log mu_k(X_k) / q_k, with no array work per L and no power
+    that can overflow.  On one point mu_k(X_k) is the point's weight.  A
+    gaussian spec over several points stores sigma per point and goes
+    through _field_g.  The martingale mode only inflates moments by its
+    amplitude cap (1 + kappa); the Rosenthal constant used is the
+    independent-summand one, so treat martingale envelopes as exploratory.
+    cl norms need the chaining machinery instead and are rejected here.
+    r0 is spec.growth, the power gamma in g(L) >= c L^gamma / log L that the
+    family table in simulate gives, or 0 for a field that vanishes: every
+    moment is 0, and so are g and the bound.
     """
     if spec.norm_kind == "cl":
         raise ValueError("cl-norm envelopes come from the chaining machinery, not from moments")
@@ -191,15 +197,15 @@ def envelope_for_field_spec(spec: FieldSpec) -> MomentEnvelope:
     if p_low < 2.0:
         raise ValueError("envelopes need every norm exponent >= 2")
     log_moments = spec.log_moments
-    if spec.x_size == 1:
-        log_w = sum(math.log(sp.weights[0]) / q for sp, q in zip(spec.spaces, exps))
+    if np.ndim(log_moments(p_low)) == 0:
+        log_w = sum(math.log(sp.total_mass) / q for sp, q in zip(spec.spaces, exps))
 
         def g_fn(L: float) -> float:
             return 2.0 * rosenthal_upper(L) * math.exp(log_moments(L) / L + log_w)
 
     else:
-        nx, shape = spec.x_size, tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
-        g_fn = _field_g(lambda L: np.exp(np.full(nx, log_moments(L) / L).reshape(shape)), spec.spaces, exps)
+        shape = tuple(sp.size for sp in reversed(spec.spaces))  # first factor last
+        g_fn = _field_g(lambda L: np.exp(log_moments(L) / L).reshape(shape), spec.spaces, exps)
     return MomentEnvelope.from_callable(g_fn, p_low, label=f"{spec.family}-{spec.norm_kind}", r0=spec.growth)
 
 
@@ -259,66 +265,16 @@ def _grid_refine(env: MomentEnvelope, i: int, log_z: float, best_val: float, bes
     return best_val, best_L
 
 
-def _brent_min(f, a: float, b: float, x: float, fx: float):
-    """Brent's bracketed minimizer of f on [a, b], started at x with f(x) = fx.
-
-    Parabolic steps through the three best points, golden-section steps when
-    a parabola would leave the bracket or not shrink it (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5).  Stops once both
-    ends of the bracket lie within 2 _BRENT_REL_WIDTH max(1, |x|) of the
-    best point x; returns (f(x), x).
-    """
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _BRENT_REL_WIDTH * max(1.0, abs(x))
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return fx, x
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x < m else -tol1
-        if golden:
-            e = (b if x < m else a) - x
-            d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def tail_argmin(env: MomentEnvelope, z: float) -> tuple[float, float]:
     """min(1, inf_L (g(L)/z)^L) together with the optimizing L.
 
-    Grid scan first, then refinement in log L on the two segments around the
-    best knot: in closed form for grid envelopes (see _grid_refine), by
-    Brent's method through log_g for callable ones.  A knot with g = 0 wins
+    Grid scan first, then the closed-form minimum of the interpolated
+    objective on the two segments around the best knot (see _grid_refine).
+    Grid envelopes take that minimum as it is.  A callable one evaluates
+    log_g once at its order L* and keeps the knot's value if the exact
+    objective there is not lower: the result is an objective at an order it
+    evaluated exactly, a valid bound never below the exact minimum over the
+    bracket, and at most one g call per tail.  A knot with g = 0 wins
     the scan outright (its objective is -inf), so the refinement only ever
     sees finite log g.  The value is clamped to [0, 1] since it bounds a
     probability; a vacuous result is 1.0, never an error.  The interesting
@@ -334,19 +290,11 @@ def tail_argmin(env: MomentEnvelope, z: float) -> tuple[float, float]:
     best_val = float(objective[i])
     best_L = float(env.L_grid[i])
     if best_val > -math.inf:
-        if env._g_fn is None:
-            best_val, best_L = _grid_refine(env, i, log_z, best_val, best_L)
-        else:
-            lam = env._log_L_grid
-            a, b = float(lam[max(i - 1, 0)]), float(lam[min(i + 1, lam.size - 1)])
-
-            def f(x: float) -> float:
-                L = math.exp(x)
-                return L * (env.log_g(L) - log_z)
-
-            ref_val, ref_lam = _brent_min(f, a, b, float(lam[i]), best_val)
-            if ref_val < best_val:
-                best_val, best_L = ref_val, math.exp(ref_lam)
+        val, L = _grid_refine(env, i, log_z, best_val, best_L)
+        if val < best_val and env._g_fn is not None:
+            val = L * (env.log_g(L) - log_z)  # a callable's knots interpolate its g: price L* exactly
+        if val < best_val:
+            best_val, best_L = val, L
     if best_val >= 0.0:
         return 1.0, best_L
     return math.exp(best_val), best_L

@@ -317,6 +317,13 @@ def test_bound_reads_a_legacy_p_vec_envelope_as_its_largest_exponent(tmp_path, c
     assert csv_new == csv_old
 
 
+@pytest.mark.parametrize("first", [-1.0, 0.0])
+def test_bound_rejects_an_envelope_knot_at_a_nonpositive_order(tmp_path, capsys, first):
+    doc = {"kind": "grid", "p": -2.0, "L_grid": [first, 2.0, 4.0], "g_values": [1.0, 1.0, 2.0]}
+    assert run(["bound", "--envelope", _write_json(tmp_path / "env.json", doc)]) == 1
+    assert "positive order" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("L0,code", [(1e7, 1), (1e8, 0), (math.inf, 0), (None, 0)])
 def test_bound_rejects_a_finite_L0_below_the_top_knot(tmp_path, capsys, L0, code):
     doc = {"kind": "grid", "L0": L0, "p": 2.0, "L_grid": [2.0, 1e4, 1e8], "g_values": [1.0, 2.0, 3.0]}

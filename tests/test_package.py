@@ -101,7 +101,7 @@ def test_block_walk_goes_through_the_traced_names(monkeypatch):
         env, lilbound.geometric_partition(2), lilbound.NormingSequence.iterated_log(1.0), w, 40.0
     )
     assert calls["tail"] == min(result.terms, lil_bounds._REFINED_TERMS)
-    assert calls["log_g"] > calls["tail"]
+    assert calls["log_g"] == calls["tail"]  # one exact g at each refined tail's interpolated argmin
 
 
 def test_nu_envelope_goes_through_the_traced_nu_p(monkeypatch):
@@ -133,7 +133,7 @@ def test_nu_envelope_goes_through_the_traced_nu_p(monkeypatch):
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats and scipy.optimize each cost most of a second to import;
-    # the package needs neither (tail conversion has its own Brent minimizer).
+    # the package needs neither (tail conversion refines in closed form).
     # scipy.special costs a third of a second and only clopper_pearson_upper
     # needs it, so it is imported there.
     import os
